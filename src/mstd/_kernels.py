@@ -1,150 +1,104 @@
-"""Hot loops for exhaustive subset scans.
+"""The block primitive behind every exhaustive subset scan.
 
-Each kernel walks a contiguous range [lo, hi) of subset masks of an n-element
-group and reduces to plain integers (or fills an int64 histogram), so chunked
+A scan hands a block of consecutive subset masks [lo, hi) to numpy as one
+uint64 array and reduces it to plain integers (or a histogram), so block
 results combine by addition and every parallel schedule produces identical
-totals.
+totals. numpy ufuncs release the GIL, so blocks on several threads overlap.
 
-Group translation is precompiled into flat arrays: entry e*rank + i of
+Group translation is precompiled into uint64 rotation tables: row e of
 keep/up/wrap/down rotates digit i of a mask by the i-th digit of element e.
-Masks stay below 2**28, comfortably inside int64.
+`translate` applies one row to a whole block; `sumset` and `sum_diff`
+take the union of the translates A + a over a in A (and A - a), one element
+at a time, across every mask of the block at once.
 
-The numba decorator is optional; without it the same functions run as plain
-Python (the drivers then pass lists instead of numpy arrays).
+numpy is imported inside the functions, not at module top, so importing the
+package for bounds or graphs alone does not load it.
 """
 
-try:
-    from numba import njit
+from __future__ import annotations
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+from .groups import GroupSpec
+from .subsets import _rotation
 
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
+#: There is no compiled backend; kept as a constant because
+#: perfbench/run.py:facts() records it.
+HAVE_NUMBA = False
 
-        return wrap
-
-
-@njit(cache=True, nogil=True)
-def _translate(m, e, rank, keep, up, wrap, down):
-    for i in range(rank):
-        j = e * rank + i
-        m = ((m & keep[j]) << up[j]) | ((m & wrap[j]) >> down[j])
-    return m
+#: Largest group order a scan can take: masks are uint64 and the scan
+#: range 1 << n must fit in one too.
+MASK_BITS = 63
 
 
-@njit(cache=True, nogil=True)
-def _popcount(m):
-    c = 0
-    while m:
-        m &= m - 1
-        c += 1
-    return c
+class Tables:
+    """Rotation tables of one group, applied to blocks of masks."""
 
+    def __init__(self, group: GroupSpec):
+        import numpy as np
 
-@njit(cache=True, nogil=True)
-def scan_mstd(lo, hi, n, rank, keep, up, wrap, down, neg, full):
-    """Count subsets in [lo, hi) with more sums than differences."""
-    count = 0
-    for s in range(lo, hi):
-        summ = 0
-        diff = 0
-        diff_full = False
-        for a in range(n):
-            if (s >> a) & 1:
-                summ |= _translate(s, a, rank, keep, up, wrap, down)
-                diff |= _translate(s, neg[a], rank, keep, up, wrap, down)
-                if diff == full:
-                    # |A-A| = |G| already rules the subset out
-                    diff_full = True
-                    break
-        if not diff_full and _popcount(summ) > _popcount(diff):
-            count += 1
-    return count
+        n, r = group.order, group.rank
+        self.n = n
+        self.full = np.uint64((1 << n) - 1)
+        self.neg = [group.neg(e) for e in range(n)]
+        rows = np.zeros((4, n, r), dtype=np.uint64)
+        for e in range(n):
+            for i, (s, a) in enumerate(zip(group.strides, group.factors)):
+                v = (e // s) % a
+                if v:
+                    rows[:, e, i] = _rotation(group, i, v)
+        # (keep, up, wrap, down) of the digits each element rotates; a zero
+        # digit is the identity and is skipped (its up is 0)
+        self._moves = [
+            [tuple(row[e, i] for row in rows) for i in range(r) if rows[1, e, i]]
+            for e in range(n)
+        ]
 
+    @staticmethod
+    def masks(lo: int, hi: int):
+        import numpy as np
 
-@njit(cache=True, nogil=True)
-def scan_avoiding(lo, hi, n, rank, keep, up, wrap, down, dred, srow, ns):
-    """Count subsets avoiding every difference in dred and every sum in srow.
+        return np.arange(lo, hi, dtype=np.uint64)
 
-    dred holds one representative per {d, -d} pair; srow is flattened with
-    srow[j*n + a] = index of (s_j - a).
-    """
-    count = 0
-    for s in range(lo, hi):
-        ok = True
-        for jd in range(len(dred)):
-            t = _translate(s, dred[jd], rank, keep, up, wrap, down)
-            if s & t:
-                ok = False
-                break
-        if ok and ns > 0:
-            for a in range(n):
-                if (s >> a) & 1:
-                    for js in range(ns):
-                        if (s >> srow[js * n + a]) & 1:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-        if ok:
-            count += 1
-    return count
+    def translate(self, masks, e: int):
+        """Masks of {x + e : x in A} for every mask A in the block."""
+        for keep, up, wrap, down in self._moves[e]:
+            high = masks & keep
+            high <<= up
+            low = masks & wrap
+            low >>= down
+            high |= low
+            masks = high
+        return masks
 
+    def _spread(self, masks, *shift_tables):
+        """For each table, the union over a in A of A + table[a], for every
+        mask A in the block."""
+        import numpy as np
 
-@njit(cache=True, nogil=True)
-def scan_full_sumset_avoiding(lo, hi, n, rank, keep, up, wrap, down, d, full):
-    """Count subsets with d not in A-A and A+A equal to the whole group."""
-    count = 0
-    for s in range(lo, hi):
-        t = _translate(s, d, rank, keep, up, wrap, down)
-        if s & t:
-            continue
-        summ = 0
-        for a in range(n):
-            if (s >> a) & 1:
-                summ |= _translate(s, a, rank, keep, up, wrap, down)
-                if summ == full:
-                    break
-        if summ == full:
-            count += 1
-    return count
+        outs = [np.zeros_like(masks) for _ in shift_tables]
+        member = np.empty_like(masks)
+        for a in range(self.n):
+            np.right_shift(masks, np.uint64(a), out=member)
+            member &= np.uint64(1)
+            np.negative(member, out=member)  # all ones where a is in A
+            for out, shifts in zip(outs, shift_tables):
+                moved = self.translate(masks, shifts[a])
+                out |= member & moved
+        return outs
 
+    def sumset(self, masks):
+        """A + A for every mask A in the block."""
+        return self._spread(masks, range(self.n))[0]
 
-@njit(cache=True, nogil=True)
-def scan_histogram(lo, hi, n, rank, keep, up, wrap, down, neg, out):
-    """Fill out[(n - |A+A|), (n - |A-A|)] += 1 for subsets in [lo, hi)."""
-    for s in range(lo, hi):
-        summ = 0
-        diff = 0
-        for a in range(n):
-            if (s >> a) & 1:
-                summ |= _translate(s, a, rank, keep, up, wrap, down)
-                diff |= _translate(s, neg[a], rank, keep, up, wrap, down)
-        out[n - _popcount(summ), n - _popcount(diff)] += 1
+    def sum_diff(self, masks):
+        """(A + A, A - A) for every mask A in the block."""
+        summ, diff = self._spread(masks, range(self.n), self.neg)
+        return summ, diff
 
+    def negate(self, masks):
+        """Masks of -A for every mask A in the block."""
+        import numpy as np
 
-@njit(cache=True, nogil=True)
-def scan_containment(lo, hi, n, rank, keep, up, wrap, down, neg, full):
-    """Violation counts for the two-sided containment of the MSTD family.
-
-    First count: subsets with A+A = G and A-A != G that are not MSTD.
-    Second count: MSTD subsets with A-A = G. Both must come back zero.
-    """
-    v_left = 0
-    v_right = 0
-    for s in range(lo, hi):
-        summ = 0
-        diff = 0
-        for a in range(n):
-            if (s >> a) & 1:
-                summ |= _translate(s, a, rank, keep, up, wrap, down)
-                diff |= _translate(s, neg[a], rank, keep, up, wrap, down)
-        mstd = _popcount(summ) > _popcount(diff)
-        if summ == full and diff != full and not mstd:
-            v_left += 1
-        if mstd and diff == full:
-            v_right += 1
-    return v_left, v_right
+        out = np.zeros_like(masks)
+        for a, b in enumerate(self.neg):
+            out |= ((masks >> np.uint64(a)) & np.uint64(1)) << np.uint64(b)
+        return out

@@ -16,6 +16,7 @@ bounds and are reported with a flag rather than clamped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -185,16 +186,33 @@ class OddSumBracket:
     precision_bits: int
 
 
-def odd_sum_bracket(group: GroupSpec, precision_bits: int = 256) -> OddSumBracket:
+def _bracket_bits(n: int, orders) -> int:
+    """Default precision of odd_sum_bracket: the shortfall check compares
+    intervals about (n^2/2)*phi^(-4k) apart at the largest element order k
+    with n/k > 1, so carry 4*log2(phi)*k bits plus 64 of headroom."""
+    k_star = max((k for k in orders if n // k > 1), default=0)
+    return max(256, math.ceil(4 * math.log2((1 + math.sqrt(5)) / 2) * k_star) + 64)
+
+
+def odd_sum_bracket(
+    group: GroupSpec, precision_bits: Optional[int] = None
+) -> OddSumBracket:
     """Confirm |G| - |E(G)| - 1 <= sum <= |G| by interval arithmetic.
 
     Also verifies, per distinct element order k, the shortfall bound
     1 - (1 - phi^(-2k))^(|G|/k) <= min(1, (|G|/k)*phi^(-2k)).
+    precision_bits=None derives the precision from the group (at least 256).
     """
     n = group.order
     if n % 2 == 0:
         raise ValueError("the bracket applies to odd group orders")
     small = small_order_set(group)
+    order_counts: dict[int, int] = {}
+    for d in group.elements():
+        k = group.element_order(d)
+        order_counts[k] = order_counts.get(k, 0) + 1
+    if precision_bits is None:
+        precision_bits = _bracket_bits(n, order_counts)
     iv = mpmath.iv
     saved = iv.prec
     iv.prec = precision_bits
@@ -202,11 +220,6 @@ def odd_sum_bracket(group: GroupSpec, precision_bits: int = 256) -> OddSumBracke
         phi = (1 + iv.sqrt(5)) / 2
         total = iv.mpf(0)
         bernoulli_ok = True
-        order_counts: dict[int, int] = {}
-        for d in group.elements():
-            order_counts[group.element_order(d)] = (
-                order_counts.get(group.element_order(d), 0) + 1
-            )
         for k, mult in order_counts.items():
             decay = 1 / phi ** (2 * k)
             term = (1 - decay) ** (n // k)

@@ -21,8 +21,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import networkx as nx
-
 from .groups import GroupSpec
 
 
@@ -113,7 +111,8 @@ class Component:
     "generic". param carries the natural size parameter (path vertices,
     cycle length, rungs of a ladder/prism; vertex count for generic).
     witness lists, for the non-trivial shapes, the component vertices in the
-    order of a fixed traversal of the reference graph.
+    order of a fixed traversal of the reference graph; for ladders and prisms
+    that is (a_0, b_0, a_1, b_1, ...), rung i being {a_i, b_i}.
     """
 
     kind: str
@@ -241,24 +240,58 @@ def _walk_cycle(vertices: list[int], nbrs: dict[int, set[int]]) -> Optional[list
     return order if len(order) == len(vertices) else None
 
 
-def _reference_ladder(m: int) -> nx.Graph:
-    return nx.cartesian_product(nx.path_graph(m), nx.path_graph(2))
-
-
-def _reference_prism(length: int) -> nx.Graph:
-    return nx.cartesian_product(nx.cycle_graph(length), nx.path_graph(2))
-
-
-def _iso_witness(
-    vertices: list[int], nbrs: dict[int, set[int]], reference: nx.Graph
+def _rung_walk(
+    nbrs: dict[int, set[int]], a0: int, b0: int, a1: int, rungs: int, closed: bool
 ) -> Optional[tuple[int, ...]]:
-    """Component vertices in reference-traversal order, or None if not isomorphic."""
-    g = nx.Graph()
-    g.add_nodes_from(vertices)
-    g.add_edges_from((u, v) for u in vertices for v in nbrs[u] if u < v)
-    matcher = nx.isomorphism.GraphMatcher(reference, g)
-    for mapping in matcher.isomorphisms_iter():
-        return tuple(mapping[node] for node in sorted(reference.nodes()))
+    """Witness (a_0, b_0, a_1, b_1, ...) of P_rungs x P_2, or of C_rungs x P_2
+    when closed, built from the rung (a0, b0) and the rail step a0 -> a1.
+
+    b1 is the common neighbour of b0 and a1 besides a0; after that each rail
+    steps to the unique neighbour outside its previous vertex and the current
+    rung partner. The witness is returned only if its vertices are distinct
+    and its edges are exactly the component's edges.
+    """
+    b1 = (nbrs[b0] & nbrs[a1]) - {a0}
+    if len(b1) != 1:
+        return None
+    a, b = [a0, a1], [b0, *b1]
+    while len(a) < rungs:
+        next_a = nbrs[a[-1]] - {a[-2], b[-1]}
+        next_b = nbrs[b[-1]] - {b[-2], a[-1]}
+        if len(next_a) != 1 or len(next_b) != 1:
+            return None
+        a.extend(next_a)
+        b.extend(next_b)
+    order = tuple(v for rung in zip(a, b) for v in rung)
+    if len(set(order)) != len(order):
+        return None
+    built = {frozenset(rung) for rung in zip(a, b)}
+    steps = rungs if closed else rungs - 1
+    built |= {frozenset((r[i], r[(i + 1) % rungs])) for r in (a, b) for i in range(steps)}
+    edges = {frozenset((u, v)) for u in nbrs for v in nbrs[u]}
+    return order if built == edges else None
+
+
+def _ladder_witness(nbrs: dict[int, set[int]], rungs: int) -> Optional[tuple[int, ...]]:
+    """Start at the smallest degree-2 corner; its degree-2 neighbour is its
+    rung partner and its other neighbour the next vertex on its rail."""
+    a0 = min(v for v in nbrs if len(nbrs[v]) == 2)
+    partner = [u for u in nbrs[a0] if len(nbrs[u]) == 2]
+    if len(partner) != 1:
+        return None
+    (a1,) = nbrs[a0] - set(partner)
+    return _rung_walk(nbrs, a0, partner[0], a1, rungs, closed=False)
+
+
+def _prism_witness(nbrs: dict[int, set[int]], rungs: int) -> Optional[tuple[int, ...]]:
+    """Start at the smallest vertex and try each (rung partner, rail
+    neighbour) pair among its three neighbours."""
+    a0 = min(nbrs)
+    for b0 in sorted(nbrs[a0]):
+        for a1 in sorted(nbrs[a0] - {b0}):
+            witness = _rung_walk(nbrs, a0, b0, a1, rungs, closed=True)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -287,11 +320,11 @@ def classify_component(
     if n % 2 == 0 and n >= 6:
         half = n // 2
         if degs == [2] * 4 + [3] * (n - 4):
-            witness = _iso_witness(vertices, nbrs, _reference_ladder(half))
+            witness = _ladder_witness(nbrs, half)
             if witness is not None:
                 return Component("ladder", half, vs, witness)
         if degs == [3] * n:
-            witness = _iso_witness(vertices, nbrs, _reference_prism(half))
+            witness = _prism_witness(nbrs, half)
             if witness is not None:
                 return Component("prism", half, vs, witness)
 

@@ -129,6 +129,16 @@ def test_odd_sum_bracket_z3():
         odd_sum_bracket(Z8)
 
 
+def test_odd_sum_bracket_default_precision_large_orders():
+    # 256 bits cannot resolve phi^(-2k) at element order 135 (Z/405) or 135
+    # with |G|/k = 3 (Z/135 x Z/3); the default derives enough from the group
+    for factors in [(405,), (135, 3)]:
+        res = odd_sum_bracket(GroupSpec(factors))
+        assert res.bracket_ok and res.bernoulli_ok, factors
+        assert res.precision_bits > 256
+    assert odd_sum_bracket(GroupSpec((27,))).precision_bits == 256
+
+
 def test_odd_sum_bracket_interval_is_tight():
     res = odd_sum_bracket(GroupSpec((27,)), precision_bits=256)
     assert float(res.sum_high) - float(res.sum_low) < 1e-40

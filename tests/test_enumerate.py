@@ -10,6 +10,8 @@ from mstd.enumerate_subsets import (
     count_mstd,
     missing_histogram,
 )
+from mstd.fib_index import fib_index_exact
+from mstd.forbiddance import build_graph
 from mstd.groups import GroupSpec, groups_up_to, half_set
 
 from oracles import (
@@ -22,8 +24,10 @@ from oracles import (
 Z8 = GroupSpec((8,))
 
 # Exhaustive counts for |G| <= 10 are recomputed against the tuple oracle in
-# test_count_matches_naive_oracle; the larger ones below were produced once
-# by the same oracle and frozen.
+# test_count_matches_naive_oracle; the order 12-16 ones below were produced
+# once by the same oracle and frozen. The order 17-20 ones are from
+# perfbench/frozen_counts.json, where the package scan and an independent
+# numpy pair recount agree; they span 8 to 64 blocks of the scan.
 FROZEN_COUNTS = {
     (12,): 24,
     (14,): 28,
@@ -33,6 +37,11 @@ FROZEN_COUNTS = {
     (4, 4): 384,
     (2, 2, 4): 512,
     (2, 2, 2, 2): 0,
+    (17,): 272,
+    (18,): 792,
+    (20,): 5440,
+    (10, 2): 6080,
+    (5, 2, 2): 6080,
 }
 
 
@@ -43,7 +52,8 @@ def test_count_mstd_trivial_groups():
 
 def test_count_mstd_frozen_values():
     for factors, expected in FROZEN_COUNTS.items():
-        assert count_mstd(GroupSpec(factors)).mstd_count == expected
+        for threads in (1, 2):
+            assert count_mstd(GroupSpec(factors), threads=threads).mstd_count == expected
 
 
 def test_count_matches_naive_oracle():
@@ -69,6 +79,23 @@ def test_cap_refusal():
     assert count_mstd(GroupSpec((5,)), cap=5).mstd_count == 0
 
 
+def test_mask_width_refusal(monkeypatch):
+    # no cap lifts a scan past the uint64 mask; the block kernel must not run
+    from mstd import _kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(_kernels.Tables, "__init__", refuse)
+    monkeypatch.setattr(_kernels.Tables, "translate", refuse)
+    big = GroupSpec((64,))
+    for scan in (count_mstd, missing_histogram, containment_violations, count_avoiding):
+        with pytest.raises(EnumerationCapError, match="mask width"):
+            scan(big, cap=100)
+    with pytest.raises(EnumerationCapError, match="mask width"):
+        count_full_sumset_avoiding(big, 1, cap=100)
+
+
 def test_count_avoiding_examples():
     assert count_avoiding(Z8, (1,)) == 47
     assert count_avoiding(Z8, (4,)) == 81
@@ -91,6 +118,22 @@ def test_count_avoiding_matches_naive_oracle():
             t, [t.elems[d] for d in diffs], [t.elems[s] for s in sums]
         )
         assert count_avoiding(g, diffs, sums) == want
+
+
+def test_count_avoiding_matches_graph_route():
+    # orders 15-18 span one to sixteen scan blocks
+    cases = [
+        ((15,), (1,), (0,)),
+        ((16,), (2, 5), ()),
+        ((17,), (3,), (4,)),
+        ((18,), (1, 6), (9,)),
+        ((2, 8), (1,), (3,)),
+        ((3, 6), (2, 5), (7,)),
+    ]
+    for factors, diffs, sums in cases:
+        g = GroupSpec(factors)
+        want = fib_index_exact(build_graph(g, diffs, sums))
+        assert count_avoiding(g, diffs, sums, threads=2) == want, (factors, diffs, sums)
 
 
 def test_count_avoiding_degenerate_zero_difference():
@@ -152,35 +195,3 @@ def test_thread_count_independence():
         g = GroupSpec(factors)
         counts = {count_mstd(g, threads=t).mstd_count for t in (1, 2, 7)}
         assert len(counts) == 1
-
-
-def test_pure_python_fallback_matches(monkeypatch):
-    # force the no-numba import path and rerun a few scans on fresh tables.
-    # Without numba the reference values and the rerun both take the
-    # pure-Python path, so there this test checks the reload, the restore
-    # and the _tables.cache_clear() handling; the pure-Python path itself is
-    # checked against the tuple oracle by test_count_matches_naive_oracle
-    # and test_count_avoiding_matches_naive_oracle.
-    import importlib
-    import sys
-
-    from mstd import _kernels, enumerate_subsets
-
-    had_numba = _kernels.HAVE_NUMBA
-    expected_count = count_mstd(GroupSpec((10,))).mstd_count
-    expected_avoid = count_avoiding(GroupSpec((2, 4)), (1,), (3,))
-    expected_hist = missing_histogram(GroupSpec((6,))).counts
-
-    monkeypatch.setitem(sys.modules, "numba", None)  # makes `import numba` fail
-    importlib.reload(_kernels)
-    try:
-        assert not _kernels.HAVE_NUMBA
-        enumerate_subsets._tables.cache_clear()
-        assert count_mstd(GroupSpec((10,))).mstd_count == expected_count
-        assert count_avoiding(GroupSpec((2, 4)), (1,), (3,)) == expected_avoid
-        assert missing_histogram(GroupSpec((6,))).counts == expected_hist
-    finally:
-        monkeypatch.undo()
-        importlib.reload(_kernels)
-        enumerate_subsets._tables.cache_clear()
-    assert _kernels.HAVE_NUMBA == had_numba

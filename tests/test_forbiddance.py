@@ -113,6 +113,58 @@ def test_classify_standard_shapes():
     assert c.kind == "generic"
 
 
+def _relabel(neighbors, perm):
+    """Adjacency with vertex v renamed perm[v]; unused labels get no edges."""
+    out = [frozenset()] * (max(perm) + 1)
+    for v, nb in enumerate(neighbors):
+        out[perm[v]] = frozenset(perm[u] for u in nb)
+    return tuple(out)
+
+
+def test_rung_walk_witness_maps_reference_edges():
+    import random
+
+    from mstd.fib_index import ladder_neighbors, prism_neighbors
+
+    rng = random.Random(0)
+    for kind, build, rungs in [
+        ("ladder", ladder_neighbors, 3),
+        ("ladder", ladder_neighbors, 7),
+        ("prism", prism_neighbors, 3),
+        ("prism", prism_neighbors, 4),  # the cube: every neighbour can be a rung
+        ("prism", prism_neighbors, 9),
+    ]:
+        n = 2 * rungs
+        perm = list(range(10, 10 + n))
+        rng.shuffle(perm)
+        full = _relabel(build(rungs), perm)
+        c = classify_component(perm, full)
+        assert (c.kind, c.param) == (kind, rungs)
+        w = c.witness
+        assert sorted(w) == sorted(perm)
+        # reference vertex (i, j) of P_m x P_2 or C_m x P_2 sits at w[2i + j]
+        steps = rungs if kind == "prism" else rungs - 1
+        ref_edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+        ref_edges += [
+            (2 * i + j, 2 * ((i + 1) % rungs) + j) for i in range(steps) for j in (0, 1)
+        ]
+        assert all(w[y] in full[w[x]] for x, y in ref_edges)
+        assert len(ref_edges) == sum(len(full[v]) for v in perm) // 2
+
+
+def test_three_regular_non_prisms_are_generic():
+    k33 = tuple(
+        frozenset({3, 4, 5}) if v < 3 else frozenset({0, 1, 2}) for v in range(6)
+    )
+    # Wagner graph V8: an 8-cycle plus its four long diagonals
+    wagner = tuple(
+        frozenset({(v + 1) % 8, (v - 1) % 8, (v + 4) % 8}) for v in range(8)
+    )
+    for nbrs in (k33, wagner):
+        c = classify_component(list(range(len(nbrs))), nbrs)
+        assert (c.kind, c.witness) == ("generic", None)
+
+
 def test_witness_orders_vertices():
     dec = decompose(build_graph(Z9, (3,), (0,)))
     prism = next(c for c in dec.components if c.kind == "prism")
