@@ -1,4 +1,5 @@
-"""The block primitive behind every exhaustive subset scan.
+"""The block primitive behind every exhaustive subset scan and the MSTD
+count's DFS.
 
 A scan hands a block of consecutive subset masks [lo, hi) to numpy as one
 uint64 array and reduces it to plain integers (or a histogram), so block
@@ -7,7 +8,8 @@ totals. numpy ufuncs release the GIL, so blocks on several threads overlap.
 
 Group translation is precompiled into uint64 rotation tables: row e of
 keep/up/wrap/down rotates digit i of a mask by the i-th digit of element e.
-`translate` applies one row to a whole block; `sumset` and `sum_diff`
+`translate` applies one row to a whole block (the DFS applies it to a
+batch of nodes, one fixed element at a time); `sumset` and `sum_diff`
 take the union of the translates A + a over a in A (and A - a), one element
 at a time, across every mask of the block at once.
 

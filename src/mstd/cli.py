@@ -220,13 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mstd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="exact MSTD count by full enumeration")
+    p_count = sub.add_parser(
+        "count", help="exact MSTD count: pruned walk, full scan below order 14"
+    )
     p_count.add_argument("-g", "--group", required=True, help='factor list, e.g. "12,2"')
     p_count.add_argument(
         "--cap",
         type=int,
         default=enum.COUNT_CAP,
-        help=f"largest group order to scan (default {enum.COUNT_CAP})",
+        help=f"largest group order to count (default {enum.COUNT_CAP})",
     )
     _add_common(p_count)
     p_count.set_defaults(func=cmd_count)
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--exact",
         action="store_true",
-        help="also run the exhaustive count and attach it",
+        help="also run the exact count and attach it",
     )
     _add_common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-order",
         type=int,
         default=_env_int("MSTD_MAX_ORDER", None),
-        help="largest order to count exhaustively (default: the scan cap)",
+        help="largest order to count exactly (default: the count cap)",
     )
     p_table.add_argument(
         "--precision-bits", type=int, default=_env_int("MSTD_PRECISION_BITS", None)

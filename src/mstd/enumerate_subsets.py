@@ -1,35 +1,53 @@
-"""Exhaustive, deterministic counting over all 2^|G| subsets of a group.
+"""Exact counts over the subsets of a group: a pruned walk for MSTD counts,
+exhaustive scans for everything else.
 
-The subset space [0, 2^|G|) is split into contiguous chunks whose boundaries
-depend only on the group order; each chunk is scanned independently as one
-numpy block (numpy ufuncs release the GIL) and the per-chunk integers are
-added in chunk order. Addition is exact and associative, so every thread
-count produces bit-identical results.
+`count_mstd` walks the subsets that contain 0 (the DFS, engine `dfs-numpy`)
+on every group of order >= 14. Each child A' = A u {x} updates the masks of
+A, -A, A+A and A-A incrementally. A subtree is dropped once A-A = G: every
+superset keeps A-A = G and |A+A| <= |G|, so none is MSTD. Translation keeps
+MSTD status and a set of size k has k translates that contain 0, so the
+count is the sum over k of (|G|/k) c_k, with c_k the MSTD sets of size k
+that contain 0. Live nodes wait in pools by their largest element and are
+expanded in numpy batches, one fixed x at a time. The walk runs on one
+thread.
 
-Scans refuse orders past a hard cap instead of silently running for hours;
+Groups of order < 14 fit in one scan block, and there the block scan
+(engine `scan-numpy`) is faster; it is also the oracle the DFS is tested
+against. A scan splits the subset space [0, 2^|G|) into contiguous chunks
+whose boundaries depend only on the group order; each chunk is scanned as
+one numpy block (numpy ufuncs release the GIL) and the per-chunk integers
+are added in chunk order. Addition is exact and associative, so every
+thread count produces bit-identical results.
+
+Counts refuse orders past a hard cap instead of silently running for hours;
 the cap is configurable per call. Orders past the 63-bit mask width are
 refused whatever the cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .groups import GroupSpec
 
-#: Hard ceilings: 2^28 subset scans stay under an hour of desk time.
+#: Hard ceilings on the group order. The MSTD count's DFS walks at most
+#: |G| * upper_bound(G) children; COUNT_CAP also bounds the exact rows of
+#: `mstd table` and the scans that share it.
 COUNT_CAP = 28
 HISTOGRAM_CAP = 24
 
 #: Chunks of at most 2^14 subsets, a pure function of the group order; each
-#: numpy temporary of a block is then 128 KB.
+#: numpy temporary of a block is then 128 KB. Groups of smaller order fit in
+#: one block, and count_mstd scans them instead of walking them.
 _CHUNK_BITS = 14
 
 #: One-core rate of the numpy scan, for the cap message's lower estimate:
@@ -37,20 +55,39 @@ _CHUNK_BITS = 14
 #: Z/2 x Z/2 x Z/6 (2-core x86_64, numpy 2.4).
 _SUBSETS_PER_S = 6e6
 
+#: Nodes taken from a pool per DFS step; each of a batch's four uint64
+#: arrays is then 256 KB.
+_DFS_BATCH = 1 << 15
+
+#: The cap message's lower estimate of the DFS cost. Children evaluated per
+#: upper_bound(G) measured 0.25 (Z/2^5), 0.31 (Z/2^3 x Z/4), 0.38
+#: (Z/2 x Z/2 x Z/8) and 0.42-0.49 (Z/28-Z/34, Z/14 x Z/2); the proven
+#: ceiling is |G|. The one-core rate measured 2.4e7-6.6e7 children/s on the
+#: same groups (2-core x86_64, numpy 2.4).
+_CHILDREN_PER_BOUND = 0.25
+_CHILDREN_PER_S = 7e7
+
 
 class EnumerationCapError(ValueError):
-    """Raised when a scan would exceed its configured order cap."""
+    """Raised when a count would exceed its configured order cap."""
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Outcome of one exhaustive MSTD count."""
+    """Outcome of one exact MSTD count.
+
+    `engine` is "dfs-numpy" or "scan-numpy"; `thread_count` is the number of
+    threads that ran (the DFS runs on one whatever was asked); `nodes` is
+    the number of DFS children evaluated, None for the scan.
+    """
 
     group: GroupSpec
     total_subsets: int
     mstd_count: int
     elapsed: float
     thread_count: int
+    engine: str
+    nodes: int | None = None
 
     def to_record(self) -> dict:
         return {
@@ -60,6 +97,8 @@ class EnumerationResult:
             "mstd_count": str(self.mstd_count),
             "elapsed_s": round(self.elapsed, 3),
             "threads": self.thread_count,
+            "engine": self.engine,
+            "nodes": None if self.nodes is None else str(self.nodes),
         }
 
     def to_json(self) -> str:
@@ -98,9 +137,9 @@ def _tables(group: GroupSpec) -> _kernels.Tables:
     return _kernels.Tables(group)
 
 
-def _chunks(total: int) -> list[tuple[int, int]]:
+def _chunks(total: int) -> Iterator[tuple[int, int]]:
     size = 1 << _CHUNK_BITS
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    return ((lo, min(lo + size, total)) for lo in range(0, total, size))
 
 
 def _run_chunked(
@@ -109,21 +148,29 @@ def _run_chunked(
     threads: int,
     progress_interval: float | None = None,
 ):
-    """Apply fn(lo, hi) to every chunk and yield the results in chunk order."""
+    """Apply fn(lo, hi) to every chunk and yield the results in chunk order.
+
+    Ranges are made as they are needed, and the threaded path keeps at most
+    2 * threads chunks in flight, so the cost before the first result does
+    not grow with `total`.
+    """
+    n_chunks = -(-total // (1 << _CHUNK_BITS))
     ranges = _chunks(total)
     last_report = [time.monotonic()]
-    if threads <= 1 or len(ranges) == 1:
+    if threads <= 1 or n_chunks == 1:
         for i, (lo, hi) in enumerate(ranges):
             yield fn(lo, hi)
-            _report_progress(progress_interval, last_report, i + 1, len(ranges), hi, total)
+            _report_progress(progress_interval, last_report, i + 1, n_chunks, hi, total)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        for i, fut in enumerate(futures):
+        # a chunk is submitted when this generator is advanced past it
+        submitted = ((hi, pool.submit(fn, lo, hi)) for lo, hi in ranges)
+        pending = deque(itertools.islice(submitted, 2 * threads))
+        for done in range(1, n_chunks + 1):
+            hi, fut = pending.popleft()
+            pending.extend(itertools.islice(submitted, 1))
             yield fut.result()
-            _report_progress(
-                progress_interval, last_report, i + 1, len(ranges), ranges[i][1], total
-            )
+            _report_progress(progress_interval, last_report, done, n_chunks, hi, total)
 
 
 def _report_progress(interval, last_report, done_chunks, total_chunks, done_subsets, total):
@@ -140,17 +187,44 @@ def _report_progress(interval, last_report, done_chunks, total_chunks, done_subs
         )
 
 
-def _check_cap(group: GroupSpec, cap: int, what: str) -> None:
+def _check_width(group: GroupSpec, what: str) -> None:
     n = group.order
     if n > _kernels.MASK_BITS:
         raise EnumerationCapError(
             f"{what} over 2^{n} subsets of {group} exceeds the "
             f"{_kernels.MASK_BITS}-bit mask width of the scan; no cap lifts it"
         )
+
+
+def _check_cap(group: GroupSpec, cap: int, what: str) -> None:
+    _check_width(group, what)
+    n = group.order
     if n > cap:
         est = 2**n / _SUBSETS_PER_S
         raise EnumerationCapError(
             f"{what} over 2^{n} subsets of {group} exceeds the cap of 2^{cap} "
+            f"(estimated {est:.0f}+ core-seconds); raise cap= explicitly to force"
+        )
+
+
+def _dfs_budget(group: GroupSpec) -> int:
+    """Ceiling on the DFS children: |G| * upper_bound(G), since each live node
+    is a set with A-A != G and has fewer than |G| children."""
+    from .bounds import upper_bound
+
+    n = group.order
+    return n * upper_bound(group) if n >= 2 else 0
+
+
+def _check_count_cap(group: GroupSpec, cap: int) -> None:
+    _check_width(group, "MSTD count")
+    n = group.order
+    if n > cap:
+        budget = _dfs_budget(group)
+        est = budget / n * _CHILDREN_PER_BOUND / _CHILDREN_PER_S
+        raise EnumerationCapError(
+            f"MSTD count of {group} exceeds the cap of order {cap}: "
+            f"the DFS walks up to {budget:.2e} children, |G| * upper_bound(G) "
             f"(estimated {est:.0f}+ core-seconds); raise cap= explicitly to force"
         )
 
@@ -171,27 +245,130 @@ def count_mstd(
     cap: int = COUNT_CAP,
     progress_interval: float | None = None,
 ) -> EnumerationResult:
-    """Exact number of MSTD subsets of the group, by full enumeration."""
+    """Exact number of MSTD subsets of the group: the DFS from order 14 on,
+    the block scan below it."""
+    _check_count_cap(group, cap)
+    threads = _resolve_threads(threads)
+    n = group.order
+    start = time.perf_counter()
+    if n >= _CHUNK_BITS:
+        count, nodes = _count_mstd_dfs(group, progress_interval)
+        engine, threads = "dfs-numpy", 1
+    else:
+        count, nodes = _count_mstd_scan(group, threads, progress_interval), None
+        engine = "scan-numpy"
+    return EnumerationResult(
+        group=group,
+        total_subsets=1 << n,
+        mstd_count=count,
+        elapsed=time.perf_counter() - start,
+        thread_count=threads,
+        engine=engine,
+        nodes=nodes,
+    )
+
+
+def _count_mstd_scan(
+    group: GroupSpec, threads: int, progress_interval: float | None = None
+) -> int:
+    """MSTD count by scanning all 2^|G| masks in blocks."""
     import numpy as np
 
-    _check_cap(group, cap, "MSTD count")
-    threads = _resolve_threads(threads)
     t = _tables(group)
 
     def block(lo, hi):
         summ, diff = t.sum_diff(t.masks(lo, hi))
         return int(np.count_nonzero(np.bitwise_count(summ) > np.bitwise_count(diff)))
 
+    return sum(_run_chunked(block, 1 << group.order, threads, progress_interval))
+
+
+def _take(pool: list, limit: int) -> tuple:
+    """Remove up to `limit` nodes from a pool of (A, -A, A+A, A-A) chunks."""
+    import numpy as np
+
+    parts = []
+    got = 0
+    while pool and got < limit:
+        parts.append(pool.pop())
+        got += len(parts[-1][0])
+    batch = tuple(np.concatenate(col) if len(parts) > 1 else col[0] for col in zip(*parts))
+    if got > limit:
+        pool.append(tuple(col[limit:] for col in batch))
+        batch = tuple(col[:limit] for col in batch)
+    return batch
+
+
+def _count_mstd_dfs(
+    group: GroupSpec, progress_interval: float | None = None
+) -> tuple[int, int]:
+    """(MSTD count, children evaluated) by the pooled walk over the subsets
+    that contain 0; see the module docstring."""
+    import numpy as np
+
     n = group.order
-    start = time.perf_counter()
-    total = sum(_run_chunked(block, 1 << n, threads, progress_interval))
-    return EnumerationResult(
-        group=group,
-        total_subsets=1 << n,
-        mstd_count=total,
-        elapsed=time.perf_counter() - start,
-        thread_count=threads,
-    )
+    if n < 2:
+        return 0, 0
+    t = _tables(group)
+    neg, full = t.neg, t.full
+    one = np.ones(1, dtype=np.uint64)
+    bits = [np.uint64(1 << e) for e in range(n)]
+    # pools[l]: chunks of live nodes whose largest element is l; the root {0}
+    pools: list[list] = [[] for _ in range(n - 1)]
+    sizes = [0] * (n - 1)
+    pools[0].append((one, one, one, one))
+    sizes[0] = 1
+    by_size = np.zeros(n + 1, dtype=np.int64)
+    nodes = 0
+    last_report = time.monotonic()
+    budget = _dfs_budget(group) if progress_interval else 0
+    while True:
+        # the highest pool holding a full batch, else the lowest non-empty one
+        top = next((l for l in range(n - 2, -1, -1) if sizes[l] >= _DFS_BATCH), None)
+        if top is None:
+            top = next((l for l in range(n - 1) if sizes[l]), None)
+            if top is None:
+                break
+        a, na, s, d = _take(pools[top], _DFS_BATCH)
+        sizes[top] -= len(a)
+        nodes += len(a) * (n - 1 - top)
+        for x in range(top + 1, n):
+            # A'-A' = (A-A) u (A-x) u (-A+x) u {0}, and 0 is in A-A already;
+            # translate by a nonzero element returns a new array
+            d2 = t.translate(a, neg[x])
+            d2 |= t.translate(na, x)
+            d2 |= d
+            live = (d2 != full).nonzero()[0]
+            if not len(live):
+                continue
+            if len(live) < len(a):
+                a2, na2, s2, d2 = a[live], na[live], s[live], d2[live]
+            else:
+                a2, na2, s2 = a, na, s
+            a2 = a2 | bits[x]
+            # A'+A' = (A+A) u (A'+x)
+            s2 = s2 | t.translate(a2, x)
+            mstd = np.bitwise_count(s2) > np.bitwise_count(d2)
+            if mstd.any():
+                by_size += np.bincount(np.bitwise_count(a2[mstd]), minlength=n + 1)
+            if x < n - 1:
+                pools[x].append((a2, na2 | bits[neg[x]], s2, d2))
+                sizes[x] += len(live)
+        if progress_interval and time.monotonic() - last_report >= progress_interval:
+            last_report = time.monotonic()
+            print(
+                f"walked {nodes} children of at most {budget} "
+                f"({100.0 * nodes / budget:.2f}%)",
+                file=sys.stderr,
+                flush=True,
+            )
+    total = 0
+    for k, c in enumerate(by_size.tolist()):
+        # the c MSTD sets of size k that contain 0 stand for n*c/k sets
+        q, r = divmod(n * c, k or 1)
+        assert r == 0, f"{group}: {c} MSTD sets of size {k} containing 0"
+        total += q
+    return total, nodes
 
 
 def _reduce_diffs(group: GroupSpec, diffs: Iterable[int]) -> list[int]:

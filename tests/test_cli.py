@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from mstd.cli import main
 
@@ -29,7 +32,20 @@ def test_count_threads_deterministic(capsys):
     assert code == 0
     (r1,), (r4,) = parse_records(out1), parse_records(out4)
     assert r1["mstd_count"] == r4["mstd_count"]
-    assert r1["threads"] == 1 and r4["threads"] == 4
+    # order 24 runs the DFS, which is one thread whatever was asked
+    assert r1["threads"] == 1 and r4["threads"] == 1
+
+
+def test_count_engine_fields(capsys):
+    code, out, _ = run_cli(capsys, "count", "-g", "8", "--threads", "2")
+    assert code == 0
+    (rec,) = parse_records(out)
+    assert (rec["engine"], rec["threads"], rec["nodes"]) == ("scan-numpy", 2, None)
+    code, out, _ = run_cli(capsys, "count", "-g", "16", "--threads", "2")
+    assert code == 0
+    (rec,) = parse_records(out)
+    assert (rec["engine"], rec["threads"], rec["mstd_count"]) == ("dfs-numpy", 1, "384")
+    assert int(rec["nodes"]) > 0
 
 
 def test_count_cap_refusal(capsys):
@@ -37,6 +53,24 @@ def test_count_cap_refusal(capsys):
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+def test_import_loads_no_numpy():
+    # numpy is imported where a scan or the DFS runs, so commands that count
+    # nothing do not pay its import time and memory
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, mstd, mstd.cli, mstd.bounds, mstd.forbiddance, mstd.fib_index\n"
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_count_parse_failure(capsys):

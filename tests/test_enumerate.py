@@ -1,9 +1,16 @@
+import itertools
 import json
+import time
 
 import pytest
 
 from mstd.enumerate_subsets import (
+    _CHUNK_BITS,
     EnumerationCapError,
+    _count_mstd_dfs,
+    _count_mstd_scan,
+    _dfs_budget,
+    _run_chunked,
     containment_violations,
     count_avoiding,
     count_full_sumset_avoiding,
@@ -27,7 +34,9 @@ Z8 = GroupSpec((8,))
 # test_count_matches_naive_oracle; the order 12-16 ones below were produced
 # once by the same oracle and frozen. The order 17-20 ones are from
 # perfbench/frozen_counts.json, where the package scan and an independent
-# numpy pair recount agree; they span 8 to 64 blocks of the scan.
+# numpy pair recount agree; they span 8 to 64 blocks of the scan. The order
+# 24 and 28 ones are where the block scan (43-53 s on Z/28, one thread) and
+# the DFS agree.
 FROZEN_COUNTS = {
     (12,): 24,
     (14,): 28,
@@ -42,6 +51,9 @@ FROZEN_COUNTS = {
     (20,): 5440,
     (10, 2): 6080,
     (5, 2, 2): 6080,
+    (24,): 70632,
+    (12, 2): 102432,
+    (28,): 922348,
 }
 
 
@@ -52,8 +64,18 @@ def test_count_mstd_trivial_groups():
 
 def test_count_mstd_frozen_values():
     for factors, expected in FROZEN_COUNTS.items():
+        g = GroupSpec(factors)
+        assert _count_mstd_dfs(g)[0] == expected, factors
         for threads in (1, 2):
-            assert count_mstd(GroupSpec(factors), threads=threads).mstd_count == expected
+            assert count_mstd(g, threads=threads).mstd_count == expected
+
+
+def test_dfs_matches_block_scan():
+    # every presentation of order 1-16, on both sides of the routing order
+    for g in groups_up_to(16, min_order=1):
+        count, nodes = _count_mstd_dfs(g)
+        assert count == _count_mstd_scan(g, threads=1), g
+        assert nodes <= _dfs_budget(g), g
 
 
 def test_count_matches_naive_oracle():
@@ -68,10 +90,16 @@ def test_result_record():
     rec = json.loads(res.to_json())
     assert rec["group"] == "8"
     assert rec["mstd_count"] == "0"
+    # the walk takes over at one scan block's order, and runs on one thread
+    routes = ((_CHUNK_BITS - 1, "scan-numpy", 2), (_CHUNK_BITS, "dfs-numpy", 1))
+    for order, engine, threads in routes:
+        res = count_mstd(GroupSpec((order,)), threads=2)
+        assert (res.engine, res.thread_count) == (engine, threads)
 
 
 def test_cap_refusal():
-    with pytest.raises(EnumerationCapError):
+    # the count's refusal states the DFS work budget, |G| * upper_bound(G)
+    with pytest.raises(EnumerationCapError, match="upper_bound"):
         count_mstd(GroupSpec((40,)))
     with pytest.raises(EnumerationCapError):
         missing_histogram(GroupSpec((26,)))
@@ -195,3 +223,15 @@ def test_thread_count_independence():
         g = GroupSpec(factors)
         counts = {count_mstd(g, threads=t).mstd_count for t in (1, 2, 7)}
         assert len(counts) == 1
+
+
+def test_run_chunked_is_lazy():
+    # 2^26 chunks: building them all, or a future per chunk, would not return
+    chunk = 1 << _CHUNK_BITS
+    for threads in (1, 2):
+        start = time.perf_counter()
+        results = _run_chunked(lambda lo, hi: (lo, hi), 1 << 40, threads)
+        first = list(itertools.islice(results, 8))
+        results.close()
+        assert time.perf_counter() - start < 5
+        assert first == [(i * chunk, (i + 1) * chunk) for i in range(8)]
