@@ -2,10 +2,10 @@
 inspection, verification sweeps and convergence tables.
 
 Output is one JSON record per line by default; --format csv/table switch the
-rendering. Flags can be defaulted through environment variables prefixed
-MSTD_ (MSTD_THREADS, MSTD_FORMAT, MSTD_PRECISION_BITS, MSTD_MAX_ORDER,
-MSTD_SEED). Parse failures and cap refusals exit nonzero with a message on
-stderr; `verify` exits 0 only when every selected check passes.
+rendering of `count`, `bound`, `forbid` and `table`. Each flag is defined
+only on the subcommands that read it, and only the command line sets it.
+Parse failures and cap refusals exit nonzero with a message on stderr;
+`verify` exits 0 only when every selected check passes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import mpmath
@@ -31,34 +30,17 @@ from .verify import DEFAULT_SEED, CHECKS, run_checks
 _FAMILIES = ("cyclic", "cyclic-even", "cyclic-odd", "zn-x-z2", "all")
 
 
-def _env_int(name: str, default: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(name)
-    return int(raw) if raw is not None else default
+#: --threads help where only the MSTD count runs; the flag is validated
+#: there and kept for scripts that pass it.
+_COUNT_THREADS_HELP = "accepted and checked to be >= 1; the MSTD count runs on one thread"
 
 
-def _env_str(name: str, default: str) -> str:
-    return os.environ.get(name, default)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_env_int("MSTD_THREADS", None),
-        help="worker threads for subset scans (default: all cores)",
-    )
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=("json", "csv", "table"),
-        default=_env_str("MSTD_FORMAT", "json"),
+        default="json",
         help="output rendering (default json, one record per line)",
-    )
-    parser.add_argument(
-        "--progress",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="progress report interval on stderr (default: off)",
     )
 
 
@@ -221,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser(
-        "count", help="exact MSTD count: pruned walk, full scan below order 14"
+        "count", help="exact MSTD count: pruned walk, one scan block up to order 14"
     )
     p_count.add_argument("-g", "--group", required=True, help='factor list, e.g. "12,2"')
     p_count.add_argument(
@@ -230,7 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=enum.COUNT_CAP,
         help=f"largest group order to count (default {enum.COUNT_CAP})",
     )
-    _add_common(p_count)
+    p_count.add_argument("--threads", type=int, help=_COUNT_THREADS_HELP)
+    _add_format(p_count)
+    p_count.add_argument(
+        "--progress",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="walk progress interval on stderr, above order 14 (default: off)",
+    )
     p_count.set_defaults(func=cmd_count)
 
     p_bound = sub.add_parser("bound", help="closed-form bound report")
@@ -238,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--precision-bits",
         type=int,
-        default=_env_int("MSTD_PRECISION_BITS", None),
         help="working precision for transcendental terms (default 2|G| bits)",
     )
     p_bound.add_argument(
@@ -246,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the exact count and attach it",
     )
-    _add_common(p_bound)
+    p_bound.add_argument("--threads", type=int, help=_COUNT_THREADS_HELP)
+    _add_format(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
     p_forbid = sub.add_parser(
@@ -263,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_forbid.add_argument(
         "--edges", action="store_true", help="dump the edge list to stderr"
     )
-    _add_common(p_forbid)
+    p_forbid.add_argument(
+        "--threads", type=int, help="worker threads for the --oracle scan (default: all cores)"
+    )
+    _add_format(p_forbid)
     p_forbid.set_defaults(func=cmd_forbid)
 
     p_verify = sub.add_parser("verify", help="run the verification sweeps")
@@ -273,19 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-order",
         type=int,
-        default=_env_int("MSTD_MAX_ORDER", None),
         help="lower the sweep ceilings to this group order",
     )
     p_verify.add_argument(
         "--seed",
         type=int,
-        default=_env_int("MSTD_SEED", DEFAULT_SEED),
+        default=DEFAULT_SEED,
         help="seed for the randomized checks",
     )
     p_verify.add_argument(
         "--list-checks", action="store_true", help="list check names and exit"
     )
-    _add_common(p_verify)
+    p_verify.add_argument(
+        "--threads", type=int, help="worker threads for the subset scans (default 1)"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser(
@@ -297,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--max-order",
         type=int,
-        default=_env_int("MSTD_MAX_ORDER", None),
         help="largest order to count exactly (default: the count cap)",
     )
-    p_table.add_argument(
-        "--precision-bits", type=int, default=_env_int("MSTD_PRECISION_BITS", None)
-    )
-    _add_common(p_table)
+    p_table.add_argument("--precision-bits", type=int)
+    p_table.add_argument("--threads", type=int, help=_COUNT_THREADS_HELP)
+    _add_format(p_table)
     p_table.set_defaults(func=cmd_table)
 
     return parser

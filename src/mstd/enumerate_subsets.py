@@ -2,7 +2,7 @@
 exhaustive scans for everything else.
 
 `count_mstd` walks the subsets that contain 0 (the DFS, engine `dfs-numpy`)
-on every group of order >= 14. Each child A' = A u {x} updates the masks of
+on every group of order > 14. Each child A' = A u {x} updates the masks of
 A, -A, A+A and A-A incrementally. A subtree is dropped once A-A = G: every
 superset keeps A-A = G and |A+A| <= |G|, so none is MSTD. Translation keeps
 MSTD status and a set of size k has k translates that contain 0, so the
@@ -11,9 +11,12 @@ that contain 0. Live nodes wait in pools by their largest element and are
 expanded in numpy batches, one fixed x at a time. The walk runs on one
 thread.
 
-Groups of order < 14 fit in one scan block, and there the block scan
-(engine `scan-numpy`) is faster; it is also the oracle the DFS is tested
-against. A scan splits the subset space [0, 2^|G|) into contiguous chunks
+Groups of order <= 14 fit in one scan block of 2^|G| masks, and there
+`count_mstd` scans that block in one call (engine `scan-numpy`), which is
+faster than the walk. `missing_histogram(g).mstd_count()` scans every mask
+of any group in blocks and is the oracle the DFS is tested against.
+
+The other scans split the subset space [0, 2^|G|) into contiguous chunks
 whose boundaries depend only on the group order; each chunk is scanned as
 one numpy block (numpy ufuncs release the GIL) and the per-chunk integers
 are added in chunk order. Addition is exact and associative, so every
@@ -46,7 +49,7 @@ COUNT_CAP = 28
 HISTOGRAM_CAP = 24
 
 #: Chunks of at most 2^14 subsets, a pure function of the group order; each
-#: numpy temporary of a block is then 128 KB. Groups of smaller order fit in
+#: numpy temporary of a block is then 128 KB. Groups of order up to 14 fit in
 #: one block, and count_mstd scans them instead of walking them.
 _CHUNK_BITS = 14
 
@@ -77,8 +80,9 @@ class EnumerationResult:
     """Outcome of one exact MSTD count.
 
     `engine` is "dfs-numpy" or "scan-numpy"; `thread_count` is the number of
-    threads that ran (the DFS runs on one whatever was asked); `nodes` is
-    the number of DFS children evaluated, None for the scan.
+    threads that ran, 1 for both engines whatever was asked; `nodes` is the
+    number of DFS children evaluated, None for the scan. `elapsed` excludes
+    the numpy import and the table build.
     """
 
     group: GroupSpec
@@ -142,49 +146,26 @@ def _chunks(total: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + size, total)) for lo in range(0, total, size))
 
 
-def _run_chunked(
-    fn: Callable,
-    total: int,
-    threads: int,
-    progress_interval: float | None = None,
-):
+def _run_chunked(fn: Callable, total: int, threads: int):
     """Apply fn(lo, hi) to every chunk and yield the results in chunk order.
 
     Ranges are made as they are needed, and the threaded path keeps at most
     2 * threads chunks in flight, so the cost before the first result does
     not grow with `total`.
     """
-    n_chunks = -(-total // (1 << _CHUNK_BITS))
     ranges = _chunks(total)
-    last_report = [time.monotonic()]
-    if threads <= 1 or n_chunks == 1:
-        for i, (lo, hi) in enumerate(ranges):
+    if threads <= 1 or total <= 1 << _CHUNK_BITS:
+        for lo, hi in ranges:
             yield fn(lo, hi)
-            _report_progress(progress_interval, last_report, i + 1, n_chunks, hi, total)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # a chunk is submitted when this generator is advanced past it
-        submitted = ((hi, pool.submit(fn, lo, hi)) for lo, hi in ranges)
+        submitted = (pool.submit(fn, lo, hi) for lo, hi in ranges)
         pending = deque(itertools.islice(submitted, 2 * threads))
-        for done in range(1, n_chunks + 1):
-            hi, fut = pending.popleft()
+        while pending:
+            fut = pending.popleft()
             pending.extend(itertools.islice(submitted, 1))
             yield fut.result()
-            _report_progress(progress_interval, last_report, done, n_chunks, hi, total)
-
-
-def _report_progress(interval, last_report, done_chunks, total_chunks, done_subsets, total):
-    if not interval or done_chunks == total_chunks:
-        return
-    now = time.monotonic()
-    if now - last_report[0] >= interval:
-        last_report[0] = now
-        pct = 100.0 * done_subsets / total
-        print(
-            f"scanned {done_subsets}/{total} subsets ({pct:.1f}%)",
-            file=sys.stderr,
-            flush=True,
-        )
 
 
 def _check_width(group: GroupSpec, what: str) -> None:
@@ -245,42 +226,33 @@ def count_mstd(
     cap: int = COUNT_CAP,
     progress_interval: float | None = None,
 ) -> EnumerationResult:
-    """Exact number of MSTD subsets of the group: the DFS from order 14 on,
-    the block scan below it."""
+    """Exact number of MSTD subsets of the group: one scan block up to order
+    14, the DFS above it. Both run on one thread; `threads` is validated
+    only. `elapsed` excludes the one-off numpy import and the table build.
+    `progress_interval` reports the DFS's progress on stderr."""
     _check_count_cap(group, cap)
-    threads = _resolve_threads(threads)
+    _resolve_threads(threads)
     n = group.order
+    t = _tables(group)
     start = time.perf_counter()
-    if n >= _CHUNK_BITS:
+    if n > _CHUNK_BITS:
         count, nodes = _count_mstd_dfs(group, progress_interval)
-        engine, threads = "dfs-numpy", 1
+        engine = "dfs-numpy"
     else:
-        count, nodes = _count_mstd_scan(group, threads, progress_interval), None
-        engine = "scan-numpy"
+        import numpy as np
+
+        summ, diff = t.sum_diff(t.masks(0, 1 << n))
+        count = int(np.count_nonzero(np.bitwise_count(summ) > np.bitwise_count(diff)))
+        engine, nodes = "scan-numpy", None
     return EnumerationResult(
         group=group,
         total_subsets=1 << n,
         mstd_count=count,
         elapsed=time.perf_counter() - start,
-        thread_count=threads,
+        thread_count=1,
         engine=engine,
         nodes=nodes,
     )
-
-
-def _count_mstd_scan(
-    group: GroupSpec, threads: int, progress_interval: float | None = None
-) -> int:
-    """MSTD count by scanning all 2^|G| masks in blocks."""
-    import numpy as np
-
-    t = _tables(group)
-
-    def block(lo, hi):
-        summ, diff = t.sum_diff(t.masks(lo, hi))
-        return int(np.count_nonzero(np.bitwise_count(summ) > np.bitwise_count(diff)))
-
-    return sum(_run_chunked(block, 1 << group.order, threads, progress_interval))
 
 
 def _take(pool: list, limit: int) -> tuple:

@@ -729,32 +729,23 @@ def check_z8_example(cfg: SweepConfig) -> CheckResult:
 
 
 def check_determinism(cfg: SweepConfig) -> CheckResult:
-    """Counts are bit-identical across thread counts on fixed groups."""
-    fixed = [
-        GroupSpec(f)
-        for f in [
-            (8,),
-            (9,),
-            (12,),
-            (15,),
-            (16,),
-            (2, 8),
-            (4, 4),
-            (2, 2, 4),
-            (14,),
-            (3, 5),
-        ]
-    ]
+    """Scans are bit-identical across thread counts on groups of 2-4 scan
+    blocks: the full histogram and the single-difference avoidance counts."""
+    fixed = [GroupSpec(f) for f in [(15,), (3, 5), (16,), (2, 8), (4, 4), (2, 2, 4)]]
     import os
 
     max_threads = max(os.cpu_count() or 1, 4)
     failures = []
     for g in fixed:
-        counts = {
-            t: enum.count_mstd(g, threads=t).mstd_count for t in (1, 2, max_threads)
+        results = {
+            (
+                enum.missing_histogram(g, threads=t).counts,
+                tuple(enum.count_avoiding(g, (d,), (), threads=t) for d in sorted(half_set(g))),
+            )
+            for t in (1, 2, max_threads)
         }
-        if len(set(counts.values())) != 1:
-            failures.append(f"{g}: {counts}")
+        if len(results) != 1:
+            failures.append(f"{g}: histogram or avoidance counts differ across threads")
     return _result(
         "determinism",
         not failures,

@@ -32,19 +32,20 @@ def test_count_threads_deterministic(capsys):
     assert code == 0
     (r1,), (r4,) = parse_records(out1), parse_records(out4)
     assert r1["mstd_count"] == r4["mstd_count"]
-    # order 24 runs the DFS, which is one thread whatever was asked
+    # both engines run on one thread whatever was asked
     assert r1["threads"] == 1 and r4["threads"] == 1
 
 
 def test_count_engine_fields(capsys):
-    code, out, _ = run_cli(capsys, "count", "-g", "8", "--threads", "2")
+    code, out, _ = run_cli(capsys, "count", "-g", "14", "--threads", "2")
     assert code == 0
     (rec,) = parse_records(out)
-    assert (rec["engine"], rec["threads"], rec["nodes"]) == ("scan-numpy", 2, None)
-    code, out, _ = run_cli(capsys, "count", "-g", "16", "--threads", "2")
+    assert (rec["engine"], rec["threads"], rec["nodes"], rec["mstd_count"]) == (
+        "scan-numpy", 1, None, "28")
+    code, out, _ = run_cli(capsys, "count", "-g", "15", "--threads", "2")
     assert code == 0
     (rec,) = parse_records(out)
-    assert (rec["engine"], rec["threads"], rec["mstd_count"]) == ("dfs-numpy", 1, "384")
+    assert (rec["engine"], rec["threads"], rec["mstd_count"]) == ("dfs-numpy", 1, "60")
     assert int(rec["nodes"]) > 0
 
 
@@ -178,12 +179,13 @@ def test_table_zn_x_z2(capsys):
     assert all("exact" in r for r in recs)
 
 
-def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MSTD_THREADS", "3")
-    code, out, _ = run_cli(capsys, "count", "-g", "8")
+def test_env_sets_no_defaults(capsys, monkeypatch):
+    # the CLI reads no MSTD_* variable, so neither may blank `exact` or fail the parse
+    monkeypatch.setenv("MSTD_MAX_ORDER", "2")
+    monkeypatch.setenv("MSTD_THREADS", "abc")
+    code, out, _ = run_cli(capsys, "table", "--family", "cyclic", "--min", "11", "--max", "12")
     assert code == 0
-    (rec,) = parse_records(out)
-    assert rec["threads"] == 3
+    assert [r["exact"] for r in parse_records(out)] == ["0", "24"]
 
 
 def test_table_format(capsys):

@@ -8,7 +8,6 @@ from mstd.enumerate_subsets import (
     _CHUNK_BITS,
     EnumerationCapError,
     _count_mstd_dfs,
-    _count_mstd_scan,
     _dfs_budget,
     _run_chunked,
     containment_violations,
@@ -35,8 +34,8 @@ Z8 = GroupSpec((8,))
 # once by the same oracle and frozen. The order 17-20 ones are from
 # perfbench/frozen_counts.json, where the package scan and an independent
 # numpy pair recount agree; they span 8 to 64 blocks of the scan. The order
-# 24 and 28 ones are where the block scan (43-53 s on Z/28, one thread) and
-# the DFS agree.
+# 24 and 28 ones are where a multi-block scan (43-53 s on Z/28, one thread)
+# and the DFS agree.
 FROZEN_COUNTS = {
     (12,): 24,
     (14,): 28,
@@ -71,10 +70,11 @@ def test_count_mstd_frozen_values():
 
 
 def test_dfs_matches_block_scan():
-    # every presentation of order 1-16, on both sides of the routing order
+    # every presentation of order 1-16, on both sides of the routing order;
+    # the histogram scans every mask in blocks, multi-block from order 15
     for g in groups_up_to(16, min_order=1):
         count, nodes = _count_mstd_dfs(g)
-        assert count == _count_mstd_scan(g, threads=1), g
+        assert count == missing_histogram(g).mstd_count(), g
         assert nodes <= _dfs_budget(g), g
 
 
@@ -86,15 +86,16 @@ def test_count_matches_naive_oracle():
 def test_result_record():
     res = count_mstd(Z8, threads=2)
     assert res.total_subsets == 256
-    assert res.thread_count == 2
+    assert res.thread_count == 1
     rec = json.loads(res.to_json())
     assert rec["group"] == "8"
     assert rec["mstd_count"] == "0"
-    # the walk takes over at one scan block's order, and runs on one thread
-    routes = ((_CHUNK_BITS - 1, "scan-numpy", 2), (_CHUNK_BITS, "dfs-numpy", 1))
-    for order, engine, threads in routes:
+    # one scan block up to its order, the walk above; both run on one thread
+    for order, engine in ((_CHUNK_BITS, "scan-numpy"), (_CHUNK_BITS + 1, "dfs-numpy")):
         res = count_mstd(GroupSpec((order,)), threads=2)
-        assert (res.engine, res.thread_count) == (engine, threads)
+        assert (res.engine, res.thread_count) == (engine, 1)
+    with pytest.raises(ValueError, match="threads"):
+        count_mstd(Z8, threads=0)
 
 
 def test_cap_refusal():
@@ -219,10 +220,17 @@ def test_union_upper_bound_small():
 
 
 def test_thread_count_independence():
-    for factors in [(12,), (2, 8), (15,)]:
+    # two and four scan blocks, so the threaded path runs
+    for factors in [(15,), (2, 8)]:
         g = GroupSpec(factors)
-        counts = {count_mstd(g, threads=t).mstd_count for t in (1, 2, 7)}
-        assert len(counts) == 1
+        results = {
+            (
+                missing_histogram(g, threads=t).counts,
+                tuple(count_avoiding(g, (d,), threads=t) for d in sorted(half_set(g))),
+            )
+            for t in (1, 2, 7)
+        }
+        assert len(results) == 1, factors
 
 
 def test_run_chunked_is_lazy():
