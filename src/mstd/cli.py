@@ -35,6 +35,17 @@ _FAMILIES = ("cyclic", "cyclic-even", "cyclic-odd", "zn-x-z2", "all")
 _COUNT_THREADS_HELP = "accepted and checked to be >= 1; the MSTD count runs on one thread"
 
 
+def _threads(raw: str) -> int:
+    """argparse type of every --threads flag: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -141,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_checks(
         only=only,
         max_order=args.max_order,
-        threads=args.threads if args.threads else 1,
+        threads=args.threads,
         seed=args.seed,
     )
     all_ok = True
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=enum.COUNT_CAP,
         help=f"largest group order to count (default {enum.COUNT_CAP})",
     )
-    p_count.add_argument("--threads", type=int, help=_COUNT_THREADS_HELP)
+    p_count.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
     _add_format(p_count)
     p_count.add_argument(
         "--progress",
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the exact count and attach it",
     )
-    p_bound.add_argument("--threads", type=int, help=_COUNT_THREADS_HELP)
+    p_bound.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
     _add_format(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--edges", action="store_true", help="dump the edge list to stderr"
     )
     p_forbid.add_argument(
-        "--threads", type=int, help="worker threads for the --oracle scan (default: all cores)"
+        "--threads", type=_threads, help="worker threads for the --oracle scan (default: all cores)"
     )
     _add_format(p_forbid)
     p_forbid.set_defaults(func=cmd_forbid)
@@ -278,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-checks", action="store_true", help="list check names and exit"
     )
     p_verify.add_argument(
-        "--threads", type=int, help="worker threads for the subset scans (default 1)"
+        "--threads",
+        type=_threads,
+        default=1,
+        help="worker threads for the subset scans (default 1)",
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -294,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest order to count exactly (default: the count cap)",
     )
     p_table.add_argument("--precision-bits", type=int)
-    p_table.add_argument("--threads", type=int, help=_COUNT_THREADS_HELP)
+    p_table.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
     _add_format(p_table)
     p_table.set_defaults(func=cmd_table)
 

@@ -598,9 +598,25 @@ def check_rank_bound(cfg: SweepConfig) -> CheckResult:
 
 def check_mask_oracle(cfg: SweepConfig) -> CheckResult:
     """Bit-shift sumsets/diffsets match the naive double loop: exhaustively
-    for tiny groups, on seeded random masks for larger ones."""
+    for tiny groups, on seeded random masks for larger ones. On the tiny
+    groups the block engine's memoised (A+A, A-A) masks must match too."""
+    import numpy as np
+
     failures = []
     cases = 0
+
+    def naive_block(g: GroupSpec) -> tuple:
+        """The double loop over element pairs, applied to every mask at once."""
+        masks = np.arange(1 << g.order, dtype=np.uint64)
+        member = [(masks >> np.uint64(e)) & np.uint64(1) for e in range(g.order)]
+        s_masks = np.zeros_like(masks)
+        d_masks = np.zeros_like(masks)
+        for a in range(g.order):
+            for b in range(g.order):
+                both = member[a] & member[b]
+                s_masks |= both << np.uint64(g.add(a, b))
+                d_masks |= both << np.uint64(g.sub(a, b))
+        return s_masks, d_masks
 
     def naive(g: GroupSpec, bits: int) -> tuple[int, int]:
         elems = [e for e in range(g.order) if (bits >> e) & 1]
@@ -612,17 +628,20 @@ def check_mask_oracle(cfg: SweepConfig) -> CheckResult:
                 d_mask |= 1 << g.sub(a, b)
         return s_mask, d_mask
 
-    def compare(g: GroupSpec, bits: int) -> None:
+    def compare(g: GroupSpec, bits: int, s_mask: int, d_mask: int) -> None:
         nonlocal cases
         cases += 1
         a = SubsetMask(g, bits)
-        s_mask, d_mask = naive(g, bits)
         if sumset(a).bits != s_mask or diffset(a).bits != d_mask:
             failures.append(f"{g} mask {bits:#x}")
 
     for g in groups_up_to(cfg.cap(12), min_order=1):
-        for bits in range(1 << g.order):
-            compare(g, bits)
+        s_masks, d_masks = naive_block(g)
+        for bits, (s_mask, d_mask) in enumerate(zip(s_masks.tolist(), d_masks.tolist())):
+            compare(g, bits, s_mask, d_mask)
+        summ, diff = enum._block_sum_diff(g)
+        if not (np.array_equal(summ, s_masks) and np.array_equal(diff, d_masks)):
+            failures.append(f"{g}: block engine sum_diff differs from the naive double loop")
     rng = random.Random(cfg.seed)
     pool = [
         GroupSpec((24,)),
@@ -636,7 +655,8 @@ def check_mask_oracle(cfg: SweepConfig) -> CheckResult:
     ]
     for g in pool:
         for _ in range(40):
-            compare(g, rng.getrandbits(g.order))
+            bits = rng.getrandbits(g.order)
+            compare(g, bits, *naive(g, bits))
     return _result(
         "mask-oracle",
         not failures,

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from mstd.cli import main
 
 
@@ -78,6 +80,22 @@ def test_count_parse_failure(capsys):
     code, _, err = run_cli(capsys, "count", "-g", "nope")
     assert code == 2
     assert "error" in err
+
+
+def test_threads_below_one_refused(capsys):
+    # every subcommand refuses --threads 0 at parse time, whether or not the
+    # value is read later
+    for argv in (
+        ["verify", "--only", "conway", "--threads", "0"],
+        ["bound", "-g", "8", "--threads", "0"],
+        ["count", "-g", "8", "--threads", "0"],
+        ["forbid", "-g", "8", "-d", "1", "--threads", "-1"],
+        ["table", "--max", "4", "--threads", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--threads" in capsys.readouterr().err, argv
 
 
 def test_bound_report(capsys):

@@ -149,9 +149,35 @@ def test_count_avoiding_matches_naive_oracle():
         assert count_avoiding(g, diffs, sums) == want
 
 
+def test_count_avoiding_matches_naive_oracle_small_groups():
+    # every single-difference family and every (d, s) family on each group
+    # of order <= 6, where the count reduces the memoised (A+A, A-A) block
+    for g in groups_up_to(6):
+        t = TupleGroup(g.factors)
+        for d in range(g.order):
+            got = count_avoiding(g, (d,))
+            assert got == naive_count_avoiding(t, [t.elems[d]], []), (g, d)
+            for s in range(g.order):
+                got = count_avoiding(g, (d,), (s,))
+                want = naive_count_avoiding(t, [t.elems[d]], [t.elems[s]])
+                assert got == want, (g, d, s)
+
+
+def test_count_avoiding_rejects_out_of_range_sums():
+    # a sum is an element index, as a difference is: -1 is not element 7,
+    # on the memoised block (Z/8) and on the chunked path (Z/16) alike
+    for g in (Z8, GroupSpec((16,))):
+        for s in (-1, g.order):
+            with pytest.raises(ValueError, match="out of range"):
+                count_avoiding(g, (1,), (s,))
+
+
 def test_count_avoiding_matches_graph_route():
-    # orders 15-18 span one to sixteen scan blocks
+    # order 14 is the last one-block order (the memoised block); orders
+    # 15-18 span one to sixteen scan blocks
     cases = [
+        ((14,), (3, 5), (6,)),
+        ((7, 2), (2, 7), (9,)),
         ((15,), (1,), (0,)),
         ((16,), (2, 5), ()),
         ((17,), (3,), (4,)),
