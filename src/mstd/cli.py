@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-order",
         type=int,
-        help="lower the sweep ceilings to this group order",
+        help="lower the sweep ceilings to this group order (at least 4)",
     )
     p_verify.add_argument(
         "--seed",

@@ -21,9 +21,12 @@ blocks and is the oracle the DFS is tested against.
 
 The other scans split the subset space [0, 2^|G|) into contiguous chunks
 whose boundaries depend only on the group order; each chunk is scanned as
-one numpy block (numpy ufuncs release the GIL) and the per-chunk integers
-are added in chunk order. Addition is exact and associative, so every
-thread count produces bit-identical results.
+one numpy block and the per-chunk integers are added in chunk order.
+Addition is exact and associative, so every thread count produces
+bit-identical results. Threads do not always pay, since numpy releases
+the GIL only inside each ufunc: on 2 cores two threads speed
+`count_avoiding` up and slow `missing_histogram` down (numbers in
+`_kernels`).
 
 Counts refuse orders past a hard cap instead of silently running for hours;
 the cap is configurable per call. Orders past the 63-bit mask width are

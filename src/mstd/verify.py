@@ -5,15 +5,21 @@ Each check runs a family sweep and reports one pass/fail line. The brute
 force subset scans serve as the oracle side throughout: graph-route counts,
 closed forms and bound formulas must reproduce them exactly. Sweep ceilings
 default to the largest documented scale; a caller-supplied max_order only
-ever lowers them.
+ever lowers them, and may not go below 4.
+
+A check is one case loop registered with `_check`: it yields once per case,
+None or that case's failure message(s), and returns its PASS detail. The
+driver counts the cases and turns the failures into the FAIL detail.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional, Union
 
 from . import bounds as bnd
 from . import enumerate_subsets as enum
@@ -46,6 +52,13 @@ from .subsets import (
 
 DEFAULT_SEED = 20240817
 
+#: Lowest max_order a run accepts: `lucas-roots` needs index 4, and from 4
+#: up every check sweeps at least one case, so none can pass vacuously.
+MIN_MAX_ORDER = 4
+
+#: Stands for the number of cases in a PASS detail.
+CASES = "{cases}"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -60,18 +73,52 @@ class SweepConfig:
     threads: int = 1
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self) -> None:
+        if self.max_order is not None and self.max_order < MIN_MAX_ORDER:
+            raise ValueError(f"max_order must be >= {MIN_MAX_ORDER}, got {self.max_order}")
+
     def cap(self, default: int) -> int:
         if self.max_order is None:
             return default
         return min(default, self.max_order)
 
 
-def _result(name: str, passed: bool, ok_detail: str, failures: list[str]) -> CheckResult:
-    if passed:
-        return CheckResult(name, True, ok_detail)
-    shown = "; ".join(failures[:3])
-    more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-    return CheckResult(name, False, shown + more)
+#: One case loop: yields None or failure message(s) per case, returns the PASS detail.
+CaseLoop = Generator[Union[None, str, list[str]], None, str]
+
+#: Every check by name, in definition order. perfbench swaps wrappers into
+#: this dict, so `run_checks` looks each check up when it runs it.
+CHECKS: dict[str, Callable[[SweepConfig], CheckResult]] = {}
+
+
+def _check(name: str) -> Callable[[Callable[[SweepConfig], CaseLoop]], Callable]:
+    """Register a case loop as the check `name`. A failed check shows its
+    first three failures joined by "; " and counts the rest."""
+
+    def register(loop: Callable[[SweepConfig], CaseLoop]) -> Callable:
+        @functools.wraps(loop)
+        def run(cfg: SweepConfig) -> CheckResult:
+            failures: list[str] = []
+            cases = 0
+            steps = loop(cfg)
+            while True:
+                try:
+                    found = next(steps)
+                except StopIteration as done:
+                    detail = done.value
+                    break
+                cases += 1
+                if found:
+                    failures += [found] if isinstance(found, str) else found
+            if not failures:
+                return CheckResult(name, True, detail.replace(CASES, str(cases)))
+            more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
+            return CheckResult(name, False, "; ".join(failures[:3]) + more)
+
+        CHECKS[name] = run
+        return run
+
+    return register
 
 
 def _nontrivial_groups(limit: int, parity: Optional[str] = None) -> list[GroupSpec]:
@@ -88,12 +135,11 @@ def _nontrivial_groups(limit: int, parity: Optional[str] = None) -> list[GroupSp
 # --- graph/independent-set route vs brute force ---------------------------
 
 
-def check_bijection(cfg: SweepConfig) -> CheckResult:
+@_check("bijection")
+def check_bijection(cfg: SweepConfig) -> CaseLoop:
     """Avoidance counts equal independent-set counts of the forbiddance graph
     for every group and every family with at most 2 differences and 1 sum."""
     limit = cfg.cap(14)
-    failures = []
-    cases = 0
     for g in groups_up_to(limit):
         n = g.order
         diff_choices = [()]
@@ -102,154 +148,128 @@ def check_bijection(cfg: SweepConfig) -> CheckResult:
         sum_choices = [()] + [(s,) for s in range(n)]
         for diffs in diff_choices:
             for sums in sum_choices:
-                cases += 1
                 direct = enum.count_avoiding(g, diffs, sums, threads=cfg.threads)
                 via_graph = fib_index_exact(build_graph(g, diffs, sums))
                 if direct != via_graph:
-                    failures.append(
-                        f"{g} D={diffs} S={sums}: scan {direct} != graph {via_graph}"
-                    )
-    return _result(
-        "bijection",
-        not failures,
-        f"{cases} forbidden families across |G| <= {limit} agree",
-        failures,
-    )
+                    yield f"{g} D={diffs} S={sums}: scan {direct} != graph {via_graph}"
+                else:
+                    yield None
+    return f"{CASES} forbidden families across |G| <= {limit} agree"
 
 
-def check_single_difference(cfg: SweepConfig) -> CheckResult:
+@_check("single-difference")
+def check_single_difference(cfg: SweepConfig) -> CaseLoop:
     """One forbidden difference of order m: count equals L_m^(|G|/m), and the
     graph decomposes into |G|/m cycles of length m (checked a bit further)."""
     count_limit = cfg.cap(16)
     shape_limit = cfg.cap(20)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(shape_limit):
         n = g.order
         for d in range(1, n):
-            cases += 1
             m = g.element_order(d)
             if n <= count_limit:
                 expected = lucas(m) ** (n // m)
                 got = enum.count_avoiding(g, (d,), (), threads=cfg.threads)
                 if got != expected:
-                    failures.append(f"{g} d={d}: {got} != {expected}")
+                    yield f"{g} d={d}: {got} != {expected}"
                     continue
             dec = decompose(build_graph(g, (d,), ()))
             if dec.count_shape("cycle", m) != n // m or len(dec.components) != n // m:
-                failures.append(f"{g} d={d}: decomposition not {n // m} x C_{m}")
-    return _result(
-        "single-difference",
-        not failures,
-        f"{cases} (group, difference) pairs: Lucas counts to |G| <= {count_limit}, "
-        f"cycle shapes to |G| <= {shape_limit}",
-        failures,
+                yield f"{g} d={d}: decomposition not {n // m} x C_{m}"
+            else:
+                yield None
+    return (
+        f"{CASES} (group, difference) pairs: Lucas counts to |G| <= {count_limit}, "
+        f"cycle shapes to |G| <= {shape_limit}"
     )
 
 
-def check_two_torsion_pairs(cfg: SweepConfig) -> CheckResult:
+@_check("two-torsion-pairs")
+def check_two_torsion_pairs(cfg: SweepConfig) -> CaseLoop:
     """Two distinct order-2 forbidden differences give exactly 7^(|G|/4)
     survivors, via 4-cycle components."""
     limit = cfg.cap(16)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="even"):
         n = g.order
         twos = [d for d in range(1, n) if g.element_order(d) == 2]
         for d1, d2 in itertools.combinations(twos, 2):
-            cases += 1
             got = enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
             if got != 7 ** (n // 4):
-                failures.append(f"{g} d1={d1} d2={d2}: {got} != 7^{n // 4}")
+                yield f"{g} d1={d1} d2={d2}: {got} != 7^{n // 4}"
                 continue
             dec = decompose(build_graph(g, (d1, d2), ()))
             if dec.count_shape("cycle", 4) != n // 4:
-                failures.append(f"{g} d1={d1} d2={d2}: not all 4-cycles")
-    return _result(
-        "two-torsion-pairs",
-        not failures,
-        f"{cases} order-2 pairs across even |G| <= {limit} give exactly 7^(|G|/4)",
-        failures,
-    )
+                yield f"{g} d1={d1} d2={d2}: not all 4-cycles"
+            else:
+                yield None
+    return f"{CASES} order-2 pairs across even |G| <= {limit} give exactly 7^(|G|/4)"
 
 
-def check_prism_ladder(cfg: SweepConfig) -> CheckResult:
+@_check("prism-ladder")
+def check_prism_ladder(cfg: SweepConfig) -> CaseLoop:
     """Odd groups, one difference of order m and one sum: components are
     prisms/ladders only, with 2*prisms + ladders = |G|/m."""
     limit = cfg.cap(15)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="odd"):
         n = g.order
         for d in range(1, n):
             m = g.element_order(d)
             for s in range(n):
-                cases += 1
                 dec = decompose(build_graph(g, (d,), (s,)))
                 n_p, n_l, all_matched = dec.prism_ladder_profile(m)
                 if not all_matched:
-                    failures.append(f"{g} d={d} s={s}: unexpected component shapes")
+                    yield f"{g} d={d} s={s}: unexpected component shapes"
                 elif 2 * n_p + n_l != n // m:
-                    failures.append(
-                        f"{g} d={d} s={s}: 2*{n_p}+{n_l} != {n // m}"
-                    )
+                    yield f"{g} d={d} s={s}: 2*{n_p}+{n_l} != {n // m}"
                 elif len(dec.looped) != 1:
                     # doubling is invertible in odd groups: one loop exactly
-                    failures.append(f"{g} d={d} s={s}: {len(dec.looped)} loops")
-    return _result(
-        "prism-ladder",
-        not failures,
-        f"{cases} (group, d, s) cases across odd |G| <= {limit} decompose as expected",
-        failures,
-    )
+                    yield f"{g} d={d} s={s}: {len(dec.looped)} loops"
+                else:
+                    yield None
+    return f"{CASES} (group, d, s) cases across odd |G| <= {limit} decompose as expected"
 
 
-def check_even_pair_decomposition(cfg: SweepConfig) -> CheckResult:
+@_check("even-pair-decomposition")
+def check_even_pair_decomposition(cfg: SweepConfig) -> CaseLoop:
     """Even groups, one order-2 difference and one sum: after loop removal
     only 4-cycles and at most (k+1)/2 single edges remain."""
     limit = cfg.cap(16)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="even"):
         n = g.order
         k = order_two_count(g)
         twos = [d for d in range(1, n) if g.element_order(d) == 2]
         for d in twos:
             for s in range(n):
-                cases += 1
                 dec = decompose(build_graph(g, (d,), (s,)))
                 edges = dec.count_shape("path", 2)
                 cycles = dec.count_shape("cycle", 4)
                 if edges + cycles != len(dec.components):
-                    failures.append(f"{g} d={d} s={s}: unexpected shapes")
+                    yield f"{g} d={d} s={s}: unexpected shapes"
                 elif 2 * edges > k + 1:
-                    failures.append(f"{g} d={d} s={s}: {edges} edges > (k+1)/2")
-    return _result(
-        "even-pair-decomposition",
-        not failures,
-        f"{cases} (group, d, s) cases across even |G| <= {limit} leave only "
-        "4-cycles and few edges",
-        failures,
+                    yield f"{g} d={d} s={s}: {edges} edges > (k+1)/2"
+                else:
+                    yield None
+    return (
+        f"{CASES} (group, d, s) cases across even |G| <= {limit} leave only "
+        "4-cycles and few edges"
     )
 
 
-def check_closed_forms(cfg: SweepConfig) -> CheckResult:
+@_check("closed-forms")
+def check_closed_forms(cfg: SweepConfig) -> CaseLoop:
     """Path/cycle/ladder/prism closed forms equal the generic exact counter."""
     path_limit = cfg.cap(18)
     box_limit = cfg.cap(12)
-    failures = []
-    for n in range(0, path_limit + 1):
-        if index_path(n) != count_independent_sets(path_neighbors(n)):
-            failures.append(f"path {n}")
-    for n in range(3, path_limit + 1):
-        if index_cycle(n) != count_independent_sets(cycle_neighbors(n)):
-            failures.append(f"cycle {n}")
-    for n in range(1, box_limit + 1):
-        if index_ladder(n) != count_independent_sets(ladder_neighbors(n)):
-            failures.append(f"ladder {n}")
-    for n in range(3, box_limit + 1):
-        if index_prism(n) != count_independent_sets(prism_neighbors(n)):
-            failures.append(f"prism {n}")
+    families = [
+        ("path", 0, path_limit, index_path, path_neighbors),
+        ("cycle", 3, path_limit, index_cycle, cycle_neighbors),
+        ("ladder", 1, box_limit, index_ladder, ladder_neighbors),
+        ("prism", 3, box_limit, index_prism, prism_neighbors),
+    ]
+    for label, lo, hi, closed_form, neighbors in families:
+        for n in range(lo, hi + 1):
+            agree = closed_form(n) == count_independent_sets(neighbors(n))
+            yield None if agree else f"{label} {n}"
     spots = [
         (index_path(2), 3),
         (index_cycle(4), 7),
@@ -257,28 +277,19 @@ def check_closed_forms(cfg: SweepConfig) -> CheckResult:
         (index_ladder(3), 17),
     ]
     for got, want in spots:
-        if got != want:
-            failures.append(f"spot value {got} != {want}")
-    return _result(
-        "closed-forms",
-        not failures,
-        f"paths/cycles to {path_limit} and ladders/prisms to {box_limit} match the counter",
-        failures,
-    )
+        yield None if got == want else f"spot value {got} != {want}"
+    return f"paths/cycles to {path_limit} and ladders/prisms to {box_limit} match the counter"
 
 
-def check_regular_bound(cfg: SweepConfig) -> CheckResult:
+@_check("regular-bound")
+def check_regular_bound(cfg: SweepConfig) -> CaseLoop:
     """The regular-graph independent-set cap holds for all prisms and all
     two-difference graphs in range; pairs of independent differences of
     order > 2 must produce simple 4-regular graphs in the first place."""
     prism_limit = cfg.cap(18)
     cayley_limit = cfg.cap(20)
-    failures = []
-    cases = 0
     for n in range(3, prism_limit + 1):
-        cases += 1
-        if not regular_bound_check(prism_neighbors(n)):
-            failures.append(f"prism {n}")
+        yield None if regular_bound_check(prism_neighbors(n)) else f"prism {n}"
     for g in _nontrivial_groups(cayley_limit):
         hs = sorted(half_set(g))
         for d1, d2 in itertools.combinations(hs, 2):
@@ -286,121 +297,78 @@ def check_regular_bound(cfg: SweepConfig) -> CheckResult:
                 continue
             # half-set members are distinct and never mutual negatives
             graph = build_graph(g, (d1, d2), ())
-            cases += 1
             if graph.loops or any(len(nb) != 4 for nb in graph.neighbors):
-                failures.append(f"{g} D={{{d1},{d2}}}: not simple 4-regular")
+                yield f"{g} D={{{d1},{d2}}}: not simple 4-regular"
             elif not regular_bound_check(graph.neighbors, graph.loops):
-                failures.append(f"{g} D={{{d1},{d2}}}")
-    return _result(
-        "regular-bound",
-        not failures,
-        f"{cases} regular graphs satisfy the cross-power cap",
-        failures,
-    )
+                yield f"{g} D={{{d1},{d2}}}"
+            else:
+                yield None
+    return f"{CASES} regular graphs satisfy the cross-power cap"
 
 
 # --- exhaustive counts vs closed-form bounds -------------------------------
 
 
-def check_sandwich(cfg: SweepConfig) -> CheckResult:
+@_check("sandwich")
+def check_sandwich(cfg: SweepConfig) -> CaseLoop:
     """lower <= |MSTD(G)| <= upper for all groups in range, plus cyclic
     groups up to the extended ceiling."""
     limit = cfg.cap(16)
     cyclic_limit = cfg.cap(24)
-    failures = []
-    cases = 0
-
-    def one(g: GroupSpec) -> None:
-        nonlocal cases
-        cases += 1
-        count = enum.count_mstd(g, threads=cfg.threads).mstd_count
+    extra = [GroupSpec((n,)) for n in range(limit + 1, cyclic_limit + 1)]
+    for g in _nontrivial_groups(limit) + extra:
+        count = enum.count_mstd(g).mstd_count
         lower = (
             bnd.lower_bound_even(g) if g.order % 2 == 0 else bnd.lower_bound_odd(g)
         )
         upper = bnd.upper_bound(g)
-        if not lower <= count <= upper:
-            failures.append(f"{g}: not {lower} <= {count} <= {upper}")
-
-    for g in _nontrivial_groups(limit):
-        one(g)
-    for n in range(limit + 1, cyclic_limit + 1):
-        one(GroupSpec((n,)))
-    return _result(
-        "sandwich",
-        not failures,
-        f"{cases} groups keep the exact count inside [lower, upper]",
-        failures,
-    )
+        yield None if lower <= count <= upper else f"{g}: not {lower} <= {count} <= {upper}"
+    return f"{CASES} groups keep the exact count inside [lower, upper]"
 
 
-def check_even_ratio(cfg: SweepConfig) -> CheckResult:
+@_check("even-ratio")
+def check_even_ratio(cfg: SweepConfig) -> CaseLoop:
     """Exact-count ratio against k*3^(|G|/2) stays under the guaranteed cap."""
     limit = cfg.cap(16)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="even"):
-        cases += 1
-        count = enum.count_mstd(g, threads=cfg.threads).mstd_count
-        if not bnd.even_ratio_within_cap(g, count):
-            failures.append(f"{g}: count {count} breaks the ratio cap")
-    return _result(
-        "even-ratio",
-        not failures,
-        f"{cases} even groups stay under the ratio cap",
-        failures,
-    )
+        count = enum.count_mstd(g).mstd_count
+        within = bnd.even_ratio_within_cap(g, count)
+        yield None if within else f"{g}: count {count} breaks the ratio cap"
+    return f"{CASES} even groups stay under the ratio cap"
 
 
-def check_containment(cfg: SweepConfig) -> CheckResult:
+@_check("containment")
+def check_containment(cfg: SweepConfig) -> CaseLoop:
     """Subsets with full sumset and deficient difference set are exactly the
     easy MSTD certificates; MSTD forces a deficient difference set."""
     limit = cfg.cap(16)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit):
-        cases += 1
         left, right = enum.containment_violations(g, threads=cfg.threads)
-        if left or right:
-            failures.append(f"{g}: violations ({left}, {right})")
-    return _result(
-        "containment",
-        not failures,
-        f"{cases} groups pass the two-sided containment scan",
-        failures,
-    )
+        yield f"{g}: violations ({left}, {right})" if left or right else None
+    return f"{CASES} groups pass the two-sided containment scan"
 
 
-def check_union_upper(cfg: SweepConfig) -> CheckResult:
+@_check("union-upper")
+def check_union_upper(cfg: SweepConfig) -> CaseLoop:
     """|MSTD(G)| <= sum over the half set of single-difference avoidance counts."""
     limit = cfg.cap(16)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit):
-        cases += 1
-        count = enum.count_mstd(g, threads=cfg.threads).mstd_count
+        count = enum.count_mstd(g).mstd_count
         rhs = sum(
             enum.count_avoiding(g, (d,), (), threads=cfg.threads)
             for d in half_set(g)
         )
-        if count > rhs:
-            failures.append(f"{g}: {count} > {rhs}")
-    return _result(
-        "union-upper",
-        not failures,
-        f"{cases} groups satisfy the union upper bound",
-        failures,
-    )
+        yield f"{g}: {count} > {rhs}" if count > rhs else None
+    return f"{CASES} groups satisfy the union upper bound"
 
 
-def check_union_lower(cfg: SweepConfig) -> CheckResult:
+@_check("union-lower")
+def check_union_lower(cfg: SweepConfig) -> CaseLoop:
     """The assembled inclusion-exclusion lower bound never exceeds the count."""
     limit = cfg.cap(14)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit):
-        cases += 1
         n = g.order
-        count = enum.count_mstd(g, threads=cfg.threads).mstd_count
+        count = enum.count_mstd(g).mstd_count
         hs = sorted(half_set(g))
         total = 0
         for d in hs:
@@ -412,198 +380,138 @@ def check_union_lower(cfg: SweepConfig) -> CheckResult:
             total += term
         for d1, d2 in itertools.combinations(hs, 2):
             total -= enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
-        if total > count:
-            failures.append(f"{g}: assembled bound {total} > count {count}")
-    return _result(
-        "union-lower",
-        not failures,
-        f"{cases} groups satisfy the assembled lower bound",
-        failures,
-    )
+        yield f"{g}: assembled bound {total} > count {count}" if total > count else None
+    return f"{CASES} groups satisfy the assembled lower bound"
 
 
-def check_even_caps(cfg: SweepConfig) -> CheckResult:
+@_check("even-caps")
+def check_even_caps(cfg: SweepConfig) -> CaseLoop:
     """Even-case termwise caps on avoidance counts, by integer cross-powers."""
     limit = cfg.cap(16)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="even"):
         n = g.order
         k = order_two_count(g)
         for d in range(1, n):
-            ord_d = g.element_order(d)
-            if ord_d > 2:
-                cases += 1
+            if g.element_order(d) > 2:
                 c = enum.count_avoiding(g, (d,), (), threads=cfg.threads)
-                if c**4 > 7**n:
-                    failures.append(f"{g} d={d}: single-difference cap broken")
-            else:
-                for s in range(n):
-                    cases += 1
-                    c = enum.count_avoiding(g, (d,), (s,), threads=cfg.threads)
-                    if c**4 > 3 ** (2 * (k + 1)) * 7**n:
-                        failures.append(f"{g} d={d} s={s}: order-2 cap broken")
+                yield f"{g} d={d}: single-difference cap broken" if c**4 > 7**n else None
+                continue
+            for s in range(n):
+                c = enum.count_avoiding(g, (d,), (s,), threads=cfg.threads)
+                broken = c**4 > 3 ** (2 * (k + 1)) * 7**n
+                yield f"{g} d={d} s={s}: order-2 cap broken" if broken else None
         for d1, d2 in itertools.combinations(range(1, n), 2):
-            cases += 1
             c = enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
-            if c**4 > 7**n:
-                failures.append(f"{g} d1={d1} d2={d2}: pair cap broken")
-    return _result(
-        "even-caps",
-        not failures,
-        f"{cases} termwise caps hold for even |G| <= {limit}",
-        failures,
-    )
+            yield f"{g} d1={d1} d2={d2}: pair cap broken" if c**4 > 7**n else None
+    return f"{CASES} termwise caps hold for even |G| <= {limit}"
 
 
-def check_odd_caps(cfg: SweepConfig) -> CheckResult:
+@_check("odd-caps")
+def check_odd_caps(cfg: SweepConfig) -> CaseLoop:
     """Odd-case caps: 15^(|G|/6) for one difference plus one sum, 31^(|G|/8)
     for two independent differences."""
     limit = cfg.cap(15)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="odd"):
         n = g.order
         for d in range(1, n):
             for s in range(n):
-                cases += 1
                 c = enum.count_avoiding(g, (d,), (s,), threads=cfg.threads)
-                if c**6 >= 15**n:
-                    failures.append(f"{g} d={d} s={s}: 15-cap broken")
+                yield f"{g} d={d} s={s}: 15-cap broken" if c**6 >= 15**n else None
         for d1, d2 in itertools.combinations(range(1, n), 2):
             if d1 == g.neg(d2):
                 continue
-            cases += 1
             c = enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
-            if c**8 > 31**n:
-                failures.append(f"{g} d1={d1} d2={d2}: 31-cap broken")
-    return _result(
-        "odd-caps",
-        not failures,
-        f"{cases} termwise caps hold for odd |G| <= {limit}",
-        failures,
-    )
+            yield f"{g} d1={d1} d2={d2}: 31-cap broken" if c**8 > 31**n else None
+    return f"{CASES} termwise caps hold for odd |G| <= {limit}"
 
 
-def check_ladder_cap(cfg: SweepConfig) -> CheckResult:
+@_check("ladder-cap")
+def check_ladder_cap(cfg: SweepConfig) -> CaseLoop:
     """index_ladder((m-1)/2)^2 < (1+sqrt2)^m for odd m, entirely in integers."""
     limit = cfg.cap(99)
-    failures = []
-    cases = 0
     for m in range(3, limit + 1, 2):
-        cases += 1
         a = index_ladder((m - 1) // 2)
         p, q = pell_power(m)
         # a^2 < p + q*sqrt2  <=>  a^2 - p < q*sqrt2
         gap = a * a - p
-        if not (gap < 0 or gap * gap < 2 * q * q):
-            failures.append(f"m={m}")
-    return _result(
-        "ladder-cap",
-        not failures,
-        f"{cases} odd lengths up to {limit} satisfy the ladder cap",
-        failures,
-    )
+        yield None if gap < 0 or gap * gap < 2 * q * q else f"m={m}"
+    return f"{CASES} odd lengths up to {limit} satisfy the ladder cap"
 
 
-def check_lucas_roots(cfg: SweepConfig) -> CheckResult:
+@_check("lucas-roots")
+def check_lucas_roots(cfg: SweepConfig) -> CaseLoop:
     limit = cfg.cap(200)
-    ok = bnd.lucas_root_monotonic(limit)
-    return CheckResult(
-        "lucas-roots",
-        ok,
-        f"Lucas root ordering verified to index {limit}"
-        if ok
-        else "Lucas root ordering failed",
-    )
+    yield None if bnd.lucas_root_monotonic(limit) else "Lucas root ordering failed"
+    return f"Lucas root ordering verified to index {limit}"
 
 
-def check_odd_bracket(cfg: SweepConfig) -> CheckResult:
+@_check("odd-bracket")
+def check_odd_bracket(cfg: SweepConfig) -> CaseLoop:
     """Interval-verified bracket on the odd-case order sum, all odd groups."""
     limit = cfg.cap(81)
-    failures = []
-    cases = 0
     for g in _nontrivial_groups(limit, parity="odd"):
-        cases += 1
         res = bnd.odd_sum_bracket(g, precision_bits=256)
+        failed = []
         if not res.bracket_ok:
-            failures.append(f"{g}: bracket failed")
+            failed.append(f"{g}: bracket failed")
         if not res.bernoulli_ok:
-            failures.append(f"{g}: termwise shortfall bound failed")
-    return _result(
-        "odd-bracket",
-        not failures,
-        f"{cases} odd groups pass the bracket at 256 bits",
-        failures,
-    )
+            failed.append(f"{g}: termwise shortfall bound failed")
+        yield failed
+    return f"{CASES} odd groups pass the bracket at 256 bits"
 
 
 # --- group-theory plumbing -------------------------------------------------
 
 
-def check_half_set(cfg: SweepConfig) -> CheckResult:
+@_check("half-set")
+def check_half_set(cfg: SweepConfig) -> CaseLoop:
     """Half-set size formula, two-torsion count, and tie-rule independence of
     the closed-form upper bound."""
     limit = cfg.cap(64)
-    failures = []
-    cases = 0
     for g in groups_up_to(limit, min_order=2):
-        cases += 1
         n = g.order
         k = order_two_count(g)
         hs = half_set(g)
         if len(hs) != (n - 1 + k) // 2:
-            failures.append(f"{g}: half-set size {len(hs)}")
+            yield f"{g}: half-set size {len(hs)}"
             continue
         scan_k = sum(1 for d in range(1, n) if g.element_order(d) == 2)
         if scan_k != k:
-            failures.append(f"{g}: two-torsion scan {scan_k} != {k}")
+            yield f"{g}: two-torsion scan {scan_k} != {k}"
             continue
+        failed = []
         for d in range(1, n):
             if (d in hs) == (g.neg(d) in hs) and d != g.neg(d):
-                failures.append(f"{g}: {d} and its negative both (or neither) picked")
+                failed.append(f"{g}: {d} and its negative both (or neither) picked")
                 break
         if bnd.upper_bound(g, "low") != bnd.upper_bound(g, "high"):
-            failures.append(f"{g}: upper bound depends on the tie rule")
-    return _result(
-        "half-set",
-        not failures,
-        f"{cases} groups up to order {limit} pass half-set checks",
-        failures,
-    )
+            failed.append(f"{g}: upper bound depends on the tie rule")
+        yield failed
+    return f"{CASES} groups up to order {limit} pass half-set checks"
 
 
-def check_rank_bound(cfg: SweepConfig) -> CheckResult:
+@_check("rank-bound")
+def check_rank_bound(cfg: SweepConfig) -> CaseLoop:
     """Order-statistics cap: #{g : ord(g) < t} < t^(rank+1), every t <= |G|."""
     limit = cfg.cap(64)
-    failures = []
-    cases = 0
     for g in groups_up_to(limit, min_order=1):
         orders = sorted(g.element_order(x) for x in g.elements())
         for t in range(1, g.order + 1):
-            cases += 1
             count = sum(1 for o in orders if o < t)
-            if count >= t ** (g.rank + 1):
-                failures.append(f"{g} t={t}: {count} >= t^(r+1)")
-        # Lagrange on the way through
-        if any(g.order % o for o in orders):
-            failures.append(f"{g}: element order not dividing |G|")
-    return _result(
-        "rank-bound",
-        not failures,
-        f"{cases} (group, t) pairs up to order {limit} satisfy the rank cap",
-        failures,
-    )
+            failed = [f"{g} t={t}: {count} >= t^(r+1)"] if count >= t ** (g.rank + 1) else []
+            # Lagrange on the way through, reported with the last t so it adds no case
+            if t == g.order and any(g.order % o for o in orders):
+                failed.append(f"{g}: element order not dividing |G|")
+            yield failed
+    return f"{CASES} (group, t) pairs up to order {limit} satisfy the rank cap"
 
 
-def check_mask_oracle(cfg: SweepConfig) -> CheckResult:
+@_check("mask-oracle")
+def check_mask_oracle(cfg: SweepConfig) -> CaseLoop:
     """Bit-shift sumsets/diffsets match the naive double loop: exhaustively
     for tiny groups, on seeded random masks for larger ones. On the tiny
     groups the block engine's memoised (A+A, A-A) masks must match too."""
     import numpy as np
-
-    failures = []
-    cases = 0
 
     def naive_block(g: GroupSpec) -> tuple:
         """The double loop over element pairs, applied to every mask at once."""
@@ -628,20 +536,22 @@ def check_mask_oracle(cfg: SweepConfig) -> CheckResult:
                 d_mask |= 1 << g.sub(a, b)
         return s_mask, d_mask
 
-    def compare(g: GroupSpec, bits: int, s_mask: int, d_mask: int) -> None:
-        nonlocal cases
-        cases += 1
+    def compare(g: GroupSpec, bits: int, s_mask: int, d_mask: int) -> list[str]:
         a = SubsetMask(g, bits)
         if sumset(a).bits != s_mask or diffset(a).bits != d_mask:
-            failures.append(f"{g} mask {bits:#x}")
+            return [f"{g} mask {bits:#x}"]
+        return []
 
     for g in groups_up_to(cfg.cap(12), min_order=1):
         s_masks, d_masks = naive_block(g)
         for bits, (s_mask, d_mask) in enumerate(zip(s_masks.tolist(), d_masks.tolist())):
-            compare(g, bits, s_mask, d_mask)
-        summ, diff = enum._block_sum_diff(g)
-        if not (np.array_equal(summ, s_masks) and np.array_equal(diff, d_masks)):
-            failures.append(f"{g}: block engine sum_diff differs from the naive double loop")
+            failed = compare(g, bits, s_mask, d_mask)
+            # the block engine's memo goes with the last mask, so it adds no case
+            if bits == s_masks.size - 1:
+                summ, diff = enum._block_sum_diff(g)
+                if not (np.array_equal(summ, s_masks) and np.array_equal(diff, d_masks)):
+                    failed.append(f"{g}: block engine sum_diff differs from the naive double loop")
+            yield failed
     rng = random.Random(cfg.seed)
     pool = [
         GroupSpec((24,)),
@@ -656,41 +566,31 @@ def check_mask_oracle(cfg: SweepConfig) -> CheckResult:
     for g in pool:
         for _ in range(40):
             bits = rng.getrandbits(g.order)
-            compare(g, bits, *naive(g, bits))
-    return _result(
-        "mask-oracle",
-        not failures,
-        f"{cases} masks agree with the naive double loop",
-        failures,
-    )
+            yield compare(g, bits, *naive(g, bits))
+    return f"{CASES} masks agree with the naive double loop"
 
 
-def check_histogram(cfg: SweepConfig) -> CheckResult:
+@_check("histogram")
+def check_histogram(cfg: SweepConfig) -> CaseLoop:
     """Histogram marginals: totals 2^|G| and the MSTD corner matching the
     direct count."""
     limit = cfg.cap(10)
-    failures = []
-    cases = 0
     for g in groups_up_to(limit, min_order=1):
-        cases += 1
         hist = enum.missing_histogram(g, threads=cfg.threads)
         if hist.total() != 1 << g.order:
-            failures.append(f"{g}: histogram total wrong")
+            yield f"{g}: histogram total wrong"
             continue
-        direct = enum.count_mstd(g, threads=cfg.threads).mstd_count
+        direct = enum.count_mstd(g).mstd_count
         if hist.mstd_count() != direct:
-            failures.append(f"{g}: histogram MSTD {hist.mstd_count()} != {direct}")
-    return _result(
-        "histogram",
-        not failures,
-        f"{cases} histograms have consistent marginals",
-        failures,
-    )
+            yield f"{g}: histogram MSTD {hist.mstd_count()} != {direct}"
+        else:
+            yield None
+    return f"{CASES} histograms have consistent marginals"
 
 
-def check_lift(cfg: SweepConfig) -> CheckResult:
+@_check("lift")
+def check_lift(cfg: SweepConfig) -> CaseLoop:
     """Group MSTD witnesses lift to integer MSTD sets for some k <= 64."""
-    failures = []
     records = []
     witnesses = [
         SubsetMask.from_elements(GroupSpec((12,)), [0, 1, 3, 4, 5, 8]),
@@ -702,7 +602,7 @@ def check_lift(cfg: SweepConfig) -> CheckResult:
     ]
     for w in witnesses:
         if not is_mstd(w):
-            failures.append(f"witness {w} in {w.group} is not MSTD")
+            yield f"witness {w} in {w.group} is not MSTD"
             continue
         found = None
         for k in range(1, 65):
@@ -714,48 +614,38 @@ def check_lift(cfg: SweepConfig) -> CheckResult:
                 found = k
                 break
         if found is None:
-            failures.append(f"witness in {w.group} never lifted to integer MSTD")
+            yield f"witness in {w.group} never lifted to integer MSTD"
         else:
             records.append(f"{w.group}: k0={found}")
-    return _result(
-        "lift",
-        not failures,
-        "; ".join(records),
-        failures,
-    )
+            yield None
+    return "; ".join(records)
 
 
-def check_conway(cfg: SweepConfig) -> CheckResult:
+@_check("conway")
+def check_conway(cfg: SweepConfig) -> CaseLoop:
     got = integer_mstd_check([0, 2, 3, 4, 7, 11, 12, 14])
-    ok = got == (True, 26, 25)
-    return CheckResult(
-        "conway",
-        ok,
-        f"classic 8-element set gives {got}",
-    )
+    detail = f"classic 8-element set gives {got}"
+    yield None if got == (True, 26, 25) else detail
+    return detail
 
 
-def check_z8_example(cfg: SweepConfig) -> CheckResult:
+@_check("z8-example")
+def check_z8_example(cfg: SweepConfig) -> CaseLoop:
     """The order-8 cyclic worked example: graph route and brute force agree at 17."""
     g = GroupSpec((8,))
     via_graph = fib_index_exact(build_graph(g, (1,), (4,)))
     via_scan = enum.count_avoiding(g, (1,), (4,), threads=cfg.threads)
-    ok = via_graph == via_scan == 17
-    return CheckResult(
-        "z8-example",
-        ok,
-        f"graph {via_graph}, scan {via_scan}, expected 17",
-    )
+    detail = f"graph {via_graph}, scan {via_scan}, expected 17"
+    yield None if via_graph == via_scan == 17 else detail
+    return detail
 
 
-def check_determinism(cfg: SweepConfig) -> CheckResult:
+@_check("determinism")
+def check_determinism(cfg: SweepConfig) -> CaseLoop:
     """Scans are bit-identical across thread counts on groups of 2-4 scan
     blocks: the full histogram and the single-difference avoidance counts."""
     fixed = [GroupSpec(f) for f in [(15,), (3, 5), (16,), (2, 8), (4, 4), (2, 2, 4)]]
-    import os
-
     max_threads = max(os.cpu_count() or 1, 4)
-    failures = []
     for g in fixed:
         results = {
             (
@@ -764,24 +654,17 @@ def check_determinism(cfg: SweepConfig) -> CheckResult:
             )
             for t in (1, 2, max_threads)
         }
-        if len(results) != 1:
-            failures.append(f"{g}: histogram or avoidance counts differ across threads")
-    return _result(
-        "determinism",
-        not failures,
-        f"{len(fixed)} groups identical across thread counts (1, 2, {max_threads})",
-        failures,
-    )
+        same = len(results) == 1
+        yield None if same else f"{g}: histogram or avoidance counts differ across threads"
+    return f"{CASES} groups identical across thread counts (1, 2, {max_threads})"
 
 
-def check_multiplicativity(cfg: SweepConfig) -> CheckResult:
+@_check("multiplicativity")
+def check_multiplicativity(cfg: SweepConfig) -> CaseLoop:
     """Independent-set counts multiply across disjoint unions (seeded random)."""
     rng = random.Random(cfg.seed)
-    failures = []
-    cases = 0
     builders = [path_neighbors, cycle_neighbors, ladder_neighbors, prism_neighbors]
     for _ in range(25):
-        cases += 1
         parts = []
         expected = 1
         for _ in range(rng.randint(2, 4)):
@@ -795,44 +678,8 @@ def check_multiplicativity(cfg: SweepConfig) -> CheckResult:
         for nb in parts:
             union.extend(frozenset(u + offset for u in s) for s in nb)
             offset += len(nb)
-        if count_independent_sets(union) != expected:
-            failures.append("disjoint union mismatch")
-    return _result(
-        "multiplicativity",
-        not failures,
-        f"{cases} random disjoint unions multiply",
-        failures,
-    )
-
-
-CHECKS: dict[str, Callable[[SweepConfig], CheckResult]] = {
-    "bijection": check_bijection,
-    "single-difference": check_single_difference,
-    "two-torsion-pairs": check_two_torsion_pairs,
-    "prism-ladder": check_prism_ladder,
-    "even-pair-decomposition": check_even_pair_decomposition,
-    "closed-forms": check_closed_forms,
-    "regular-bound": check_regular_bound,
-    "sandwich": check_sandwich,
-    "even-ratio": check_even_ratio,
-    "containment": check_containment,
-    "union-upper": check_union_upper,
-    "union-lower": check_union_lower,
-    "even-caps": check_even_caps,
-    "odd-caps": check_odd_caps,
-    "ladder-cap": check_ladder_cap,
-    "lucas-roots": check_lucas_roots,
-    "odd-bracket": check_odd_bracket,
-    "half-set": check_half_set,
-    "rank-bound": check_rank_bound,
-    "mask-oracle": check_mask_oracle,
-    "histogram": check_histogram,
-    "lift": check_lift,
-    "conway": check_conway,
-    "z8-example": check_z8_example,
-    "determinism": check_determinism,
-    "multiplicativity": check_multiplicativity,
-}
+        yield None if count_independent_sets(union) == expected else "disjoint union mismatch"
+    return f"{CASES} random disjoint unions multiply"
 
 
 def run_checks(
@@ -841,12 +688,11 @@ def run_checks(
     threads: int = 1,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    """Run the selected checks (all by default) and return their results."""
-    cfg = SweepConfig(max_order=max_order, threads=threads, seed=seed)
+    """Run the selected checks (all by default) and return their results.
+    Every name and max_order are checked before any check runs."""
     names = list(CHECKS) if only is None else list(only)
-    results = []
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-        results.append(CHECKS[name](cfg))
-    return results
+    cfg = SweepConfig(max_order=max_order, threads=threads, seed=seed)
+    return [CHECKS[name](cfg) for name in names]

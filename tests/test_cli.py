@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mstd import verify
 from mstd.cli import main
 
 
@@ -168,6 +169,25 @@ def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "not-a-check")
     assert code == 2
     assert "unknown check" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--only", "bijection,nope"], "unknown check 'nope'"),
+        (["--max-order", "1"], "max_order must be >= 4"),
+        (["--max-order", "-5", "--only", "bijection,sandwich,half-set"], "max_order must be >= 4"),
+    ],
+)
+def test_verify_arguments_checked_before_any_check(capsys, monkeypatch, argv, message):
+    def never(cfg):
+        raise AssertionError("a check ran before the arguments were checked")
+
+    for name in verify.CHECKS:
+        monkeypatch.setitem(verify.CHECKS, name, never)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_verify_list(capsys):
