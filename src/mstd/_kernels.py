@@ -7,16 +7,16 @@ results combine by addition and every parallel schedule produces identical
 totals. numpy ufuncs release the GIL only while each one runs, so threads
 help some scans and slow others. Measured on 2 cores (x86_64, numpy 2.4),
 threads=2 against threads=1: `count_avoiding` on Z/24 with d = 1 went from
-0.19 s to 0.08-0.09 s, and `missing_histogram` on Z/24 went from 2.4-3.2 s
-to 2.4-3.5 s, slower in 5 of 6 interleaved pairs. No scan that `count_mstd`
+0.19 s to 0.08-0.09 s, and `missing_histogram` on Z/24 went from 2.7-3.5 s
+to 2.9-3.6 s, slower in 5 of 6 interleaved pairs. No scan that `count_mstd`
 runs uses threads.
 
 Group translation is precompiled into uint64 rotation tables: row e of
 keep/up/wrap/down rotates digit i of a mask by the i-th digit of element e.
 `translate` applies one row to a whole block (the DFS applies it to a
-batch of nodes, one fixed element at a time); `sumset` and `sum_diff`
-take the union of the translates A + a over a in A (and A - a), one element
-at a time, across every mask of the block at once.
+batch of nodes, one fixed element at a time); `sum_diff` takes the unions
+of the translates A + a and A - a over a in A, one element at a time,
+across every mask of the block at once.
 
 numpy is imported inside the functions, not at module top, so importing the
 package for bounds or graphs alone does not load it.
@@ -76,29 +76,28 @@ class Tables:
             masks = high
         return masks
 
-    def _spread(self, masks, *shift_tables):
-        """For each table, the union over a in A of A + table[a], for every
-        mask A in the block."""
+    def sum_diff(self, masks):
+        """(A + A, A - A) for every mask A in the block."""
         import numpy as np
 
-        outs = [np.zeros_like(masks) for _ in shift_tables]
-        member = np.empty_like(masks)
+        summ = np.zeros_like(masks)
+        diff = np.zeros_like(masks)
+        member, moved, low = (np.empty_like(masks) for _ in range(3))
         for a in range(self.n):
             np.right_shift(masks, np.uint64(a), out=member)
             member &= np.uint64(1)
             np.negative(member, out=member)  # all ones where a is in A
-            for out, shifts in zip(outs, shift_tables):
-                moved = self.translate(masks, shifts[a])
-                out |= member & moved
-        return outs
-
-    def sumset(self, masks):
-        """A + A for every mask A in the block."""
-        return self._spread(masks, range(self.n))[0]
-
-    def sum_diff(self, masks):
-        """(A + A, A - A) for every mask A in the block."""
-        summ, diff = self._spread(masks, range(self.n), self.neg)
+            for out, e in ((summ, a), (diff, self.neg[a])):
+                # translate(A or {}, e) in scratch arrays; fresh 128 KB temporaries had
+                # glibc refault 80-780 pages per block, not 50 (2-core x86_64, numpy 2.4)
+                np.bitwise_and(masks, member, out=moved)
+                for keep, up, wrap, down in self._moves[e]:
+                    np.bitwise_and(moved, wrap, out=low)
+                    low >>= down
+                    moved &= keep
+                    moved <<= up
+                    moved |= low
+                out |= moved
         return summ, diff
 
     def negate(self, masks):

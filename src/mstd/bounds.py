@@ -95,13 +95,19 @@ def lower_bound_odd(group: GroupSpec) -> Fraction:
     return Fraction(upper_bound(group) - n * n * term15 - n * n * term31)
 
 
+def _asymptotic_bits(n: int, precision_bits: Optional[int]) -> int:
+    """Precision of the asymptotic term: max(2|G|, 64) bits unless given, never < 64."""
+    if precision_bits is not None and precision_bits < 64:
+        raise ValueError(f"precision_bits must be at least 64, got {precision_bits}")
+    return max(2 * n, 64) if precision_bits is None else precision_bits
+
+
 def asymptotic(group: GroupSpec, precision_bits: Optional[int] = None) -> mpmath.mpf:
     """Leading term: k*3^(|G|/2) for even order, |G|*phi^|G|/2 for odd."""
     n = group.order
     if n < 2:
         raise ValueError("bounds need a group of order >= 2")
-    bits = precision_bits if precision_bits is not None else max(2 * n, 64)
-    with mpmath.workprec(bits):
+    with mpmath.workprec(_asymptotic_bits(n, precision_bits)):
         if n % 2 == 0:
             k = order_two_count(group)
             return mpmath.mpf(k * 3 ** (n // 2))
@@ -306,7 +312,7 @@ def build_report(
     n = group.order
     if n < 2:
         raise ValueError("bounds need a group of order >= 2")
-    bits = precision_bits if precision_bits is not None else max(2 * n, 64)
+    bits = _asymptotic_bits(n, precision_bits)
     k = order_two_count(group)
     upper = upper_bound(group)
     asym = asymptotic(group, bits)

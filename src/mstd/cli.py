@@ -46,6 +46,13 @@ def _threads(raw: str) -> int:
     return value
 
 
+def _seconds(raw: str) -> float:
+    """argparse type of --progress: seconds above 0; nan and non-numbers are refused."""
+    if not float(raw) > 0:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds > 0, got {raw!r}")
+    return float(raw)
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -181,7 +188,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     records = []
     for group in _family_groups(args.family, args.min, args.max):
         exact = None
-        if group.order <= (args.max_order or enum.COUNT_CAP):
+        if group.order <= args.max_order:
             exact = enum.count_mstd(group, threads=args.threads).mstd_count
         report = build_report(
             group, precision_bits=args.precision_bits, exact=exact
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_count)
     p_count.add_argument(
         "--progress",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="walk progress interval on stderr, above order 14 (default: off)",
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--precision-bits",
         type=int,
-        help="working precision for transcendental terms (default 2|G| bits)",
+        help="working precision of the asymptotic term, >= 64 (default max(2|G|, 64))",
     )
     p_bound.add_argument(
         "--exact",
@@ -305,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--max-order",
         type=int,
+        default=enum.COUNT_CAP,
         help="largest order to count exactly (default: the count cap)",
     )
     p_table.add_argument("--precision-bits", type=int)

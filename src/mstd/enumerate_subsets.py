@@ -11,22 +11,19 @@ that contain 0. Live nodes wait in pools by their largest element and are
 expanded in numpy batches, one fixed x at a time. The walk runs on one
 thread.
 
-Groups of order <= 14 fit in one scan block of 2^|G| masks. For each such
-group the (A+A, A-A) masks of the whole block are computed once and kept
-(`_block_sum_diff`, under 1 MB over all 24 presentations); `count_mstd`
-reads them (engine `scan-numpy`, faster than the walk there), and
-`count_avoiding` reduces them to one count per call.
-`missing_histogram(g).mstd_count()` scans every mask of any group in
-blocks and is the oracle the DFS is tested against.
-
-The other scans split the subset space [0, 2^|G|) into contiguous chunks
-whose boundaries depend only on the group order; each chunk is scanned as
-one numpy block and the per-chunk integers are added in chunk order.
-Addition is exact and associative, so every thread count produces
-bit-identical results. Threads do not always pay, since numpy releases
-the GIL only inside each ufunc: on 2 cores two threads speed
-`count_avoiding` up and slow `missing_histogram` down (numbers in
-`_kernels`).
+The histogram, containment and full-sumset scans reduce one source,
+`_sum_diff_blocks`: the (A+A, A-A) masks of every subset in mask order.
+Up to order 14 that is one block of 2^|G| masks, computed once per group
+and kept (`_block_sum_diff`, read-only, under 1 MB over all 24
+presentations); `count_mstd`'s scan branch (engine `scan-numpy`, faster
+than the walk there) and `count_avoiding` read it too. Above order 14 the
+source computes chunks of [0, 2^|G|) whose boundaries depend only on the
+group order, while `count_avoiding` meets |D| + |S| translates per chunk,
+which costs less than building both masks. Per-chunk integers are added
+in chunk order, exactly, so every thread count gives bit-identical
+results; threads do not always pay, since numpy releases the GIL only
+inside each ufunc (numbers in `_kernels`). `missing_histogram(g).mstd_count()`
+is the oracle the DFS is tested against.
 
 Counts refuse orders past a hard cap instead of silently running for hours;
 the cap is configurable per call. Orders past the 63-bit mask width are
@@ -60,8 +57,8 @@ HISTOGRAM_CAP = 24
 _CHUNK_BITS = 14
 
 #: One-core rate of the numpy scan, for the cap message's lower estimate:
-#: count_mstd measured 6.0e6/s on Z/24, 4.0e6/s on Z/12 x Z/2 and 2.3e6/s on
-#: Z/2 x Z/2 x Z/6 (2-core x86_64, numpy 2.4).
+#: missing_histogram measured 6.1e6/s on Z/24, 4.8e6/s on Z/12 x Z/2 and
+#: 4.4e6/s on Z/2 x Z/2 x Z/6 (2-core x86_64, numpy 2.4).
 _SUBSETS_PER_S = 6e6
 
 #: Nodes taken from a pool per DFS step; each of a batch's four uint64
@@ -159,11 +156,6 @@ def _block_sum_diff(group: GroupSpec) -> tuple:
     return summ, diff
 
 
-def _chunks(total: int) -> Iterator[tuple[int, int]]:
-    size = 1 << _CHUNK_BITS
-    return ((lo, min(lo + size, total)) for lo in range(0, total, size))
-
-
 def _run_chunked(fn: Callable, total: int, threads: int):
     """Apply fn(lo, hi) to every chunk and yield the results in chunk order.
 
@@ -171,8 +163,9 @@ def _run_chunked(fn: Callable, total: int, threads: int):
     2 * threads chunks in flight, so the cost before the first result does
     not grow with `total`.
     """
-    ranges = _chunks(total)
-    if threads <= 1 or total <= 1 << _CHUNK_BITS:
+    size = 1 << _CHUNK_BITS
+    ranges = ((lo, min(lo + size, total)) for lo in range(0, total, size))
+    if threads <= 1:
         for lo, hi in ranges:
             yield fn(lo, hi)
         return
@@ -236,6 +229,18 @@ def _resolve_threads(threads: int | None) -> int:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     return threads
+
+
+def _sum_diff_blocks(group: GroupSpec, threads: int | None, cap: int, what: str) -> Iterator:
+    """(A+A, A-A) uint64 blocks of every subset, in mask order: the memo up
+    to order 14, chunks above. The cap and thread checks run before this
+    returns, so a refused scan builds no table. Callers only read blocks."""
+    _check_cap(group, cap, what)
+    threads = _resolve_threads(threads)
+    if group.order <= _CHUNK_BITS:
+        return iter((_block_sum_diff(group),))
+    t = _tables(group)
+    return _run_chunked(lambda lo, hi: t.sum_diff(t.masks(lo, hi)), 1 << group.order, threads)
 
 
 def count_mstd(
@@ -422,17 +427,12 @@ def count_full_sumset_avoiding(
             "d = 0 is degenerate: no nonempty subset omits 0 from A-A"
         )
     group._check(d)
-    _check_cap(group, cap, "full-sumset avoidance count")
-    threads = _resolve_threads(threads)
-    t = _tables(group)
-    d = min(d, group.neg(d))
-
-    def block(lo, hi):
-        masks = t.masks(lo, hi)
-        avoid = (masks & t.translate(masks, d)) == 0
-        return int(np.count_nonzero(avoid & (t.sumset(masks) == t.full)))
-
-    return sum(_run_chunked(block, 1 << group.order, threads))
+    blocks = _sum_diff_blocks(group, threads, cap, "full-sumset avoidance count")
+    full, dbit = _tables(group).full, np.uint64(1 << d)
+    return sum(
+        int(np.count_nonzero(((diff & dbit) == 0) & (summ == full)))
+        for summ, diff in blocks
+    )
 
 
 def missing_histogram(
@@ -443,20 +443,12 @@ def missing_histogram(
     """Joint histogram over (missing sums, missing differences)."""
     import numpy as np
 
-    _check_cap(group, cap, "missing-sums histogram")
-    threads = _resolve_threads(threads)
     n = group.order
-    t = _tables(group)
-
-    def block(lo, hi):
-        summ, diff = t.sum_diff(t.masks(lo, hi))
+    acc = np.zeros((n + 1) ** 2, dtype=np.int64)
+    for summ, diff in _sum_diff_blocks(group, threads, cap, "missing-sums histogram"):
         missing_s = n - np.bitwise_count(summ).astype(np.intp)
         missing_d = n - np.bitwise_count(diff).astype(np.intp)
-        return np.bincount(missing_s * (n + 1) + missing_d, minlength=(n + 1) ** 2)
-
-    acc = np.zeros((n + 1) ** 2, dtype=np.int64)
-    for chunk in _run_chunked(block, 1 << n, threads):
-        acc += chunk
+        acc += np.bincount(missing_s * (n + 1) + missing_d, minlength=(n + 1) ** 2)
     acc = acc.reshape(n + 1, n + 1)
     return MissingHistogram(group, tuple(tuple(int(c) for c in row) for row in acc))
 
@@ -474,20 +466,12 @@ def containment_violations(
     """
     import numpy as np
 
-    _check_cap(group, cap, "containment scan")
-    threads = _resolve_threads(threads)
-    t = _tables(group)
-
-    def block(lo, hi):
-        summ, diff = t.sum_diff(t.masks(lo, hi))
+    blocks = _sum_diff_blocks(group, threads, cap, "containment scan")
+    full = _tables(group).full
+    left = right = 0
+    for summ, diff in blocks:
         mstd = np.bitwise_count(summ) > np.bitwise_count(diff)
-        full_diff = diff == t.full
-        left = (summ == t.full) & ~full_diff & ~mstd
-        return int(np.count_nonzero(left)), int(np.count_nonzero(mstd & full_diff))
-
-    left = 0
-    right = 0
-    for vl, vr in _run_chunked(block, 1 << group.order, threads):
-        left += vl
-        right += vr
+        full_diff = diff == full
+        left += int(np.count_nonzero((summ == full) & ~full_diff & ~mstd))
+        right += int(np.count_nonzero(mstd & full_diff))
     return left, right

@@ -92,6 +92,16 @@ def naive_count_full_sumset_avoiding(g, d):
     return count
 
 
+def naive_missing_histogram(g):
+    """counts[s][d]: subsets with s missing sums and d missing differences."""
+    counts = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for mask in range(1 << g.n):
+        elems = g.mask_elements(mask)
+        s = g.n - len(naive_sumset(g, elems))
+        counts[s][g.n - len(naive_diffset(g, elems))] += 1
+    return counts
+
+
 def naive_independent_sets(neighbors):
     """Count independent sets of a simple graph by scanning all subsets."""
     n = len(neighbors)

@@ -93,6 +93,16 @@ def test_asymptotic_values():
     assert asymptotic(GroupSpec((6, 2))) == 3**7
 
 
+def test_precision_bits_below_64_refused():
+    for bits in (0, 1, 63):
+        with pytest.raises(ValueError, match="at least 64"):
+            asymptotic(Z9, bits)
+        with pytest.raises(ValueError, match="at least 64"):
+            build_report(Z8, precision_bits=bits)
+    assert asymptotic(Z8, 64) == 81
+    assert build_report(Z9, precision_bits=64).precision_bits == 64
+
+
 def test_even_upper_ratio_cap():
     cap = even_upper_ratio(Z8)
     assert cap == 1 + Fraction(8) * Fraction(49, 81) == Fraction(473, 81)

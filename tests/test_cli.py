@@ -99,6 +99,34 @@ def test_threads_below_one_refused(capsys):
         assert "--threads" in capsys.readouterr().err, argv
 
 
+def test_progress_at_most_zero_refused(capsys):
+    for value in ("0", "-1", "nan", "soon"):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "-g", "8", "--progress", value])
+        assert exc.value.code == 2, value
+        assert "--progress" in capsys.readouterr().err, value
+    code, out, _ = run_cli(capsys, "count", "-g", "8", "--progress", "0.5")
+    assert code == 0
+    assert parse_records(out)[0]["mstd_count"] == "0"
+
+
+def test_precision_bits_below_64_refused(capsys):
+    # 0 and 1 bits used to print asymptotic 64.0 for 81 (Z/8) and 2048.0 for
+    # 342.06 (Z/9), exit 0
+    for argv in (
+        ["bound", "-g", "8", "--precision-bits", "0"],
+        ["bound", "-g", "9", "--precision-bits", "1"],
+        ["bound", "-g", "9", "--precision-bits", "63"],
+        ["table", "--max", "4", "--precision-bits", "63"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "precision_bits must be at least 64" in err, argv
+    code, out, _ = run_cli(capsys, "bound", "-g", "8", "--precision-bits", "64")
+    assert code == 0
+    assert float(parse_records(out)[0]["asymptotic"]) == 81.0
+
+
 def test_bound_report(capsys):
     code, out, _ = run_cli(capsys, "bound", "-g", "8")
     assert code == 0
@@ -215,6 +243,14 @@ def test_table_zn_x_z2(capsys):
     recs = parse_records(out)
     assert [r["group"] for r in recs] == ["4,2", "5,2", "6,2"]
     assert all("exact" in r for r in recs)
+
+
+def test_table_max_order_zero_counts_none(capsys):
+    code, out, _ = run_cli(capsys, "table", "--max", "6", "--max-order", "0")
+    assert code == 0
+    recs = parse_records(out)
+    assert len(recs) == 5
+    assert all(r["exact"] == "" for r in recs)
 
 
 def test_env_sets_no_defaults(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from oracles import (
     naive_count_avoiding,
     naive_count_full_sumset_avoiding,
     naive_count_mstd,
+    naive_missing_histogram,
 )
 
 Z8 = GroupSpec((8,))
@@ -53,6 +54,17 @@ FROZEN_COUNTS = {
     (24,): 70632,
     (12, 2): 102432,
     (28,): 922348,
+}
+
+# |{A : d not in A-A, A+A = G}| for the listed d, and 0 for every other d in
+# half_set(G); the package scan and a subsets.sumset/diffset pass over every
+# mask agree on all of them. Orders 12 and 14 reduce the memoised block,
+# Z/16 and Z/2 x Z/8 four chunks.
+FROZEN_FULL_SUMSET = {
+    (12,): {6: 24},
+    (14,): {7: 28},
+    (16,): {8: 320},
+    (2, 8): {1: 64, 8: 224, 9: 64},
 }
 
 
@@ -209,6 +221,13 @@ def test_count_full_sumset_avoiding():
         )
 
 
+def test_count_full_sumset_avoiding_frozen_values():
+    for factors, nonzero in FROZEN_FULL_SUMSET.items():
+        g = GroupSpec(factors)
+        got = {d: count_full_sumset_avoiding(g, d) for d in half_set(g)}
+        assert got == {d: nonzero.get(d, 0) for d in half_set(g)}, factors
+
+
 def test_full_sumset_count_between_union_bounds():
     # inclusion-exclusion sandwich for one difference
     d = 4
@@ -234,8 +253,16 @@ def test_histogram_marginals():
         assert hist.mstd_count() == count_mstd(g).mstd_count
 
 
+def test_histogram_matches_naive_oracle():
+    # every cell on every presentation of order <= 8
+    for g in groups_up_to(8, min_order=1):
+        want = naive_missing_histogram(TupleGroup(g.factors))
+        assert [list(row) for row in missing_histogram(g).counts] == want, g
+
+
 def test_containment_scan_clean():
-    for g in groups_up_to(12, min_order=2):
+    # Z/16 and Z/2 x Z/8 take four chunks
+    for g in [*groups_up_to(12, min_order=2), GroupSpec((16,)), GroupSpec((2, 8))]:
         assert containment_violations(g) == (0, 0)
 
 
