@@ -9,12 +9,17 @@ cap terms round up). Powers of the golden ratio are evaluated in interval
 arithmetic at a caller-visible precision, so a confirmed inequality is a
 fact about the numbers, not about doubles.
 
+Every sum here depends on an element only through its order, so each is
+taken over the order distribution `order_counts(group)` (one term per
+element order), never over the elements.
+
 Lower bounds can come out negative for small groups; they are still valid
 bounds and are reported with a flag rather than clamped.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ from typing import Optional
 import mpmath
 
 from .fib_index import lucas
-from .groups import GroupSpec, half_set, order_two_count, small_order_set
+from .groups import GroupSpec, order_counts, order_two_count, small_order_count
 
 
 def iroot(x: int, n: int) -> tuple[int, bool]:
@@ -51,15 +56,20 @@ def iroot_ceil(x: int, n: int) -> int:
     return r if exact else r + 1
 
 
-def upper_bound(group: GroupSpec, tie_break: str = "low") -> int:
-    """Exact sum of L_ord(d)^(|G|/ord(d)) over a half set of the group."""
+def upper_bound(group: GroupSpec) -> int:
+    """Exact sum of L_ord(d)^(|G|/ord(d)) over a half set of the group.
+
+    A half set holds every element of order 2 and one of each pair {d, -d}
+    of higher order, so order k contributes c_2 terms for k = 2 and c_k/2
+    for k >= 3, where c_k counts the elements of order k.
+    """
     n = group.order
     if n < 2:
         raise ValueError("bounds need a group of order >= 2")
     total = 0
-    for d in half_set(group, tie_break):
-        m = group.element_order(d)
-        total += lucas(m) ** (n // m)
+    for k, c in order_counts(group).items():
+        if k > 1:
+            total += (c if k == 2 else c // 2) * lucas(k) ** (n // k)
     return total
 
 
@@ -212,13 +222,9 @@ def odd_sum_bracket(
     n = group.order
     if n % 2 == 0:
         raise ValueError("the bracket applies to odd group orders")
-    small = small_order_set(group)
-    order_counts: dict[int, int] = {}
-    for d in group.elements():
-        k = group.element_order(d)
-        order_counts[k] = order_counts.get(k, 0) + 1
+    counts = order_counts(group)
     if precision_bits is None:
-        precision_bits = _bracket_bits(n, order_counts)
+        precision_bits = _bracket_bits(n, counts)
     iv = mpmath.iv
     saved = iv.prec
     iv.prec = precision_bits
@@ -226,7 +232,7 @@ def odd_sum_bracket(
         phi = (1 + iv.sqrt(5)) / 2
         total = iv.mpf(0)
         bernoulli_ok = True
-        for k, mult in order_counts.items():
+        for k, mult in counts.items():
             decay = 1 / phi ** (2 * k)
             term = (1 - decay) ** (n // k)
             total += mult * term
@@ -238,7 +244,7 @@ def odd_sum_bracket(
             cap = decay * n / k
             if not (shortfall.b <= 1 and shortfall.b <= cap.a):
                 bernoulli_ok = False
-        lower_ref = n - len(small) - 1
+        lower_ref = n - small_order_count(group) - 1
         ok = bool(total.a >= lower_ref and total.b <= n)
         return OddSumBracket(
             group=group,
@@ -264,7 +270,7 @@ class BoundReport:
     upper: int
     lower: Fraction
     lower_negative: bool
-    asymptotic_str: str
+    asymptotic: mpmath.mpf  # at precision_bits, unrounded
     upper_over_asymptotic: float
     hypothesis_ok: bool
     hypothesis_detail: str
@@ -277,30 +283,52 @@ class BoundReport:
             "order": self.group.order,
             "parity": self.parity,
             "k": self.k,
-            "upper": str(self.upper),
+            "upper": _int_str(self.upper),
             "lower": _fraction_str(self.lower),
             "lower_negative": self.lower_negative,
-            "asymptotic": self.asymptotic_str,
+            "asymptotic": _asymptotic_str(self.asymptotic, self.precision_bits),
             "upper_over_asymptotic": self.upper_over_asymptotic,
             "hypothesis_ok": self.hypothesis_ok,
             "hypothesis": self.hypothesis_detail,
             "precision_bits": self.precision_bits,
         }
         if self.exact is not None:
-            rec["exact"] = str(self.exact)
-            rec["exact_over_asymptotic"] = float(
-                mpmath.mpf(self.exact) / mpmath.mpf(self.asymptotic_str)
-            )
+            rec["exact"] = _int_str(self.exact)
+            rec["exact_over_asymptotic"] = self.over_asymptotic(self.exact)
         return rec
+
+    def over_asymptotic(self, x) -> float:
+        """x (an int or Fraction) divided by the unrounded asymptotic term."""
+        x = Fraction(x)
+        with mpmath.workprec(self.precision_bits):
+            return float(mpmath.mpf(x.numerator) / x.denominator / self.asymptotic)
 
     def to_json(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True)
 
 
+def _int_str(x: int) -> str:
+    """Decimal digits of x. str() refuses integers longer than the
+    interpreter's digit limit (4300 by default; Z/16384 x Z/2's upper bound
+    has 7818 digits); decimal converts them exactly and has no limit."""
+    return str(decimal.Decimal(x))
+
+
 def _fraction_str(x: Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+def _asymptotic_str(asym: mpmath.mpf, bits: int) -> str:
+    """The asymptotic term to 24 significant digits, or to fewer when `bits`
+    carries fewer (18 at the 64-bit floor)."""
+    digits = min(24, mpmath.libmp.prec_to_dps(bits))
+    # round first: mpmath's nstr turns a mantissa of thousands of bits into
+    # one decimal integer, which str() refuses past 4300 digits (Z/7151 at
+    # its default 14302 bits)
+    with mpmath.workprec(mpmath.libmp.dps_to_prec(digits) + 64):
+        return mpmath.nstr(+asym, digits)
 
 
 def build_report(
@@ -324,12 +352,11 @@ def build_report(
     else:
         parity = "odd"
         lower = lower_bound_odd(group)
-        small = len(small_order_set(group))
+        small = small_order_count(group)
         hyp_ok = True  # asymptotic hypothesis is about families; report the fraction
         hyp_detail = f"small-order fraction {small}/{n}"
     with mpmath.workprec(bits):
         ratio = float(mpmath.mpf(upper) / asym)
-        asym_str = mpmath.nstr(asym, 24)
     return BoundReport(
         group=group,
         parity=parity,
@@ -337,7 +364,7 @@ def build_report(
         upper=upper,
         lower=lower,
         lower_negative=lower < 0,
-        asymptotic_str=asym_str,
+        asymptotic=asym,
         upper_over_asymptotic=ratio,
         hypothesis_ok=hyp_ok,
         hypothesis_detail=hyp_detail,

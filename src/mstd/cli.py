@@ -15,8 +15,6 @@ import csv
 import io
 import json
 import sys
-
-import mpmath
 from typing import Optional, Sequence
 
 from . import __version__
@@ -43,6 +41,18 @@ def _threads(raw: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
+def _precision_bits(raw: str) -> int:
+    """argparse type of --precision-bits: an integer of at least 64, checked
+    before any count runs."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 64:
+        raise argparse.ArgumentTypeError(f"precision_bits must be at least 64, got {value}")
     return value
 
 
@@ -196,14 +206,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         rec = report.to_record()
         # guaranteed brackets on count/asymptotic; the even case has the
         # sharper closed-form cap on top of upper/asymptotic
-        with mpmath.workprec(report.precision_bits):
-            asym = mpmath.mpf(rec["asymptotic"])
-            low = mpmath.mpf(report.lower.numerator) / report.lower.denominator
-            rec["ratio_cap_lower"] = float(low / asym)
-            if group.order % 2 == 0:
-                rec["ratio_cap_upper"] = float(even_upper_ratio(group))
-            else:
-                rec["ratio_cap_upper"] = float(mpmath.mpf(report.upper) / asym)
+        rec["ratio_cap_lower"] = report.over_asymptotic(report.lower)
+        if group.order % 2 == 0:
+            rec["ratio_cap_upper"] = float(even_upper_ratio(group))
+        else:
+            rec["ratio_cap_upper"] = report.upper_over_asymptotic
         rec.setdefault("exact", "")
         rec.setdefault("exact_over_asymptotic", "")
         records.append(rec)
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("-g", "--group", required=True)
     p_bound.add_argument(
         "--precision-bits",
-        type=int,
+        type=_precision_bits,
         help="working precision of the asymptotic term, >= 64 (default max(2|G|, 64))",
     )
     p_bound.add_argument(
@@ -315,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=enum.COUNT_CAP,
         help="largest order to count exactly (default: the count cap)",
     )
-    p_table.add_argument("--precision-bits", type=int)
+    p_table.add_argument(
+        "--precision-bits",
+        type=_precision_bits,
+        help="working precision of the asymptotic term, >= 64 (default max(2|G|, 64))",
+    )
     p_table.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
     _add_format(p_table)
     p_table.set_defaults(func=cmd_table)

@@ -27,6 +27,7 @@ exponent is ever evaluated.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import AbstractSet, Sequence
 
 from .forbiddance import ForbiddanceGraph, decompose
@@ -51,13 +52,24 @@ def fibonacci(n: int) -> int:
     return a
 
 
+@lru_cache(maxsize=1024)
 def lucas(n: int) -> int:
-    """L_n with L_0 = 2, L_1 = 1, L_2 = 3."""
+    """L_n with L_0 = 2, L_1 = 1, L_2 = 3.
+
+    Fast doubling over the bits of n, from L_(2m) = L_m^2 - 2(-1)^m and
+    L_(2m+1) = L_m L_(m+1) - (-1)^m, so L_(2^20) costs about 20 big
+    squarings instead of 2^20 additions; memoised, since a bound sums one
+    power of L_k per element order k.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
+    a, b, sign = 2, 1, 1  # L_m, L_m+1, (-1)^m for m = 0
+    for bit in bin(n)[2:]:
+        if bit == "0":  # m -> 2m
+            a, b = a * a - 2 * sign, a * b - sign
+        else:  # m -> 2m + 1
+            a, b = a * b - sign, b * b + 2 * sign
+        sign = 1 if bit == "0" else -1
     return a
 
 

@@ -17,7 +17,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterator
 
@@ -139,6 +139,50 @@ def order_two_count(group: GroupSpec) -> int:
     return (1 << even) - 1
 
 
+def _prime_powers(a: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing a >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= a:
+        if a % p == 0:
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if a > 1:
+        out.append((a, 1))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _order_counts(factors: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    counts = {1: 1}
+    for a in factors:
+        for p, e in _prime_powers(a):
+            # Z/p^e has p^j - p^(j-1) elements of order p^j; orders in a
+            # direct product combine by lcm
+            piece = {1: 1, **{p**j: p**j - p ** (j - 1) for j in range(1, e + 1)}}
+            out: dict[int, int] = {}
+            for k, c in counts.items():
+                for q, m in piece.items():
+                    key = lcm(k, q)
+                    out[key] = out.get(key, 0) + c * m
+            counts = out
+    return tuple(sorted(counts.items()))
+
+
+def order_counts(group: GroupSpec) -> dict[int, int]:
+    """{k: number of elements of order k}, k = 1 included, keys ascending.
+
+    Built from the factor tuple alone (Z/a has phi(d) elements of order d
+    for each d | a), so it costs a few divisor products, not a pass over
+    the elements; memoised per factor tuple.
+    """
+    return dict(_order_counts(group.factors))
+
+
 def half_set(group: GroupSpec, tie_break: str = "low") -> frozenset[int]:
     """A transversal of the {d, -d} pairs over the nonzero elements.
 
@@ -166,6 +210,9 @@ def order_below_log_phi(order_value: int, n: int) -> bool:
     Uses phi**m = (L_m + F_m*sqrt5)/2, so phi**m < n iff
     L_m < 2n and 5*F_m**2 < (2n - L_m)**2.
     """
+    if order_value > 2 * n.bit_length():
+        # m > 2b with b = bit_length(n): phi^m > (phi^2)^b > 2^b > n
+        return False
     f_prev, f_cur = 0, 1  # F_0, F_1
     l_prev, l_cur = 2, 1  # L_0, L_1
     for _ in range(order_value):
@@ -193,6 +240,13 @@ def small_order_set(group: GroupSpec, threshold: float | None = None) -> frozens
     return frozenset(
         g for g in group.elements() if group.element_order(g) < threshold
     )
+
+
+def small_order_count(group: GroupSpec) -> int:
+    """len(small_order_set(group)) from the order distribution: the number of
+    elements g with phi^ord(g) < |G|."""
+    n = group.order
+    return sum(c for k, c in order_counts(group).items() if order_below_log_phi(k, n))
 
 
 def count_order_below(group: GroupSpec, t: int) -> tuple[int, bool]:

@@ -465,8 +465,9 @@ def check_odd_bracket(cfg: SweepConfig) -> CaseLoop:
 
 @_check("half-set")
 def check_half_set(cfg: SweepConfig) -> CaseLoop:
-    """Half-set size formula, two-torsion count, and tie-rule independence of
-    the closed-form upper bound."""
+    """Half-set size formula, two-torsion count, and the closed-form upper
+    bound (summed per element order) against the per-element Lucas sum over
+    the half set of either tie rule."""
     limit = cfg.cap(64)
     for g in groups_up_to(limit, min_order=2):
         n = g.order
@@ -484,8 +485,12 @@ def check_half_set(cfg: SweepConfig) -> CaseLoop:
             if (d in hs) == (g.neg(d) in hs) and d != g.neg(d):
                 failed.append(f"{g}: {d} and its negative both (or neither) picked")
                 break
-        if bnd.upper_bound(g, "low") != bnd.upper_bound(g, "high"):
-            failed.append(f"{g}: upper bound depends on the tie rule")
+        upper = bnd.upper_bound(g)
+        for rule, half in (("low", hs), ("high", half_set(g, "high"))):
+            orders = [g.element_order(d) for d in half]
+            oracle = sum(lucas(m) ** (n // m) for m in orders)
+            if upper != oracle:
+                failed.append(f"{g}: upper bound {upper} != {rule} half-set sum {oracle}")
         yield failed
     return f"{CASES} groups up to order {limit} pass half-set checks"
 

@@ -18,7 +18,15 @@ from mstd.bounds import (
     upper_bound,
 )
 from mstd.enumerate_subsets import count_mstd
-from mstd.groups import GroupSpec, groups_up_to
+from mstd.fib_index import lucas
+from mstd.groups import (
+    GroupSpec,
+    groups_up_to,
+    half_set,
+    order_counts,
+    small_order_count,
+    small_order_set,
+)
 
 Z8 = GroupSpec((8,))
 Z9 = GroupSpec((9,))
@@ -45,9 +53,25 @@ def test_upper_bound_examples():
         upper_bound(GroupSpec(()))
 
 
-def test_upper_bound_tie_rule_independent():
-    for g in groups_up_to(32, min_order=2):
-        assert upper_bound(g, "low") == upper_bound(g, "high")
+def test_order_counts_match_per_element_oracle():
+    # the per-element loops below are the oracle for the order-distribution
+    # sums: element-order histogram, half-set Lucas sum under either tie
+    # rule, and the small-order set
+    extra = [GroupSpec((999,)), GroupSpec((15, 15, 13))]
+    for g in list(groups_up_to(64, min_order=2)) + extra:
+        n = g.order
+        histogram: dict[int, int] = {}
+        for x in g.elements():
+            k = g.element_order(x)
+            histogram[k] = histogram.get(k, 0) + 1
+        counts = order_counts(g)
+        assert counts == histogram, g
+        assert sum(counts.values()) == n, g
+        upper = upper_bound(g)
+        for rule in ("low", "high"):
+            orders = [g.element_order(d) for d in half_set(g, rule)]
+            assert upper == sum(lucas(m) ** (n // m) for m in orders), (g, rule)
+        assert small_order_count(g) == len(small_order_set(g)), g
 
 
 def test_lower_bound_even_z8():

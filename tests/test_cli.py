@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
+import mpmath
 import pytest
 
-from mstd import verify
+from mstd import enumerate_subsets, verify
+from mstd.bounds import asymptotic, lower_bound_even, lower_bound_odd, upper_bound
 from mstd.cli import main
+from mstd.groups import GroupSpec
 
 
 def run_cli(capsys, *argv):
@@ -110,21 +114,62 @@ def test_progress_at_most_zero_refused(capsys):
     assert parse_records(out)[0]["mstd_count"] == "0"
 
 
-def test_precision_bits_below_64_refused(capsys):
+def test_precision_bits_below_64_refused(capsys, monkeypatch):
     # 0 and 1 bits used to print asymptotic 64.0 for 81 (Z/8) and 2048.0 for
-    # 342.06 (Z/9), exit 0
+    # 342.06 (Z/9), exit 0; the value is refused while parsing, before any
+    # exact count runs
+    def no_count(*args, **kwargs):
+        raise AssertionError("count_mstd ran before --precision-bits was checked")
+
+    monkeypatch.setattr(enumerate_subsets, "count_mstd", no_count)
     for argv in (
         ["bound", "-g", "8", "--precision-bits", "0"],
         ["bound", "-g", "9", "--precision-bits", "1"],
         ["bound", "-g", "9", "--precision-bits", "63"],
+        ["bound", "-g", "26", "--exact", "--precision-bits", "1"],
+        ["bound", "-g", "8", "--precision-bits", "many"],
         ["table", "--max", "4", "--precision-bits", "63"],
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert "precision_bits must be at least 64" in err, argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert "--precision-bits" in err, argv
+        if argv[-1] != "many":
+            assert "precision_bits must be at least 64" in err, argv
     code, out, _ = run_cli(capsys, "bound", "-g", "8", "--precision-bits", "64")
     assert code == 0
     assert float(parse_records(out)[0]["asymptotic"]) == 81.0
+
+
+def test_bound_asymptotic_digits_follow_precision(capsys):
+    # 64 bits carry 18 significant digits, 400 bits the full 24
+    code, out, _ = run_cli(capsys, "bound", "-g", "9", "--precision-bits", "64")
+    assert code == 0
+    assert parse_records(out)[0]["asymptotic"] == "342.059200278733912"
+    code, out, _ = run_cli(capsys, "bound", "-g", "9", "--precision-bits", "400")
+    assert code == 0
+    assert parse_records(out)[0]["asymptotic"] == "342.059200278733911775302"
+
+
+def test_bound_records_above_the_int_str_limit(capsys):
+    # Z/7151 carries its asymptotic term at 14302 bits, a mantissa that
+    # formatting once converted whole; Z/16384 x Z/2 adds an upper bound of
+    # more than 4300 digits. Both print exact records.
+    for spec, upper_digits in (("7151", 1499), ("16384,2", 7818)):
+        group = GroupSpec.from_string(spec)
+        code, out, err = run_cli(capsys, "bound", "-g", spec)
+        assert (code, err) == (0, ""), spec
+        (rec,) = parse_records(out)
+        assert len(rec["upper"]) == upper_digits, spec
+        assert Decimal(rec["upper"]) == Decimal(upper_bound(group)), spec
+        want_lower = lower_bound_odd(group) if group.order % 2 else lower_bound_even(group)
+        num, _, den = rec["lower"].partition("/")
+        assert Decimal(num) == Decimal(want_lower.numerator), spec
+        assert Decimal(den or 1) == Decimal(want_lower.denominator), spec
+        with mpmath.workprec(200):
+            printed = mpmath.mpf(rec["asymptotic"])
+            assert mpmath.almosteq(printed, asymptotic(group), rel_eps=1e-23), spec
 
 
 def test_bound_report(capsys):

@@ -33,6 +33,19 @@ def test_fibonacci_lucas_values():
     assert lucas(2) == 3 and lucas(4) == 7 and lucas(3) == 4
 
 
+def test_lucas_matches_recurrence():
+    # fast doubling against L_(n+2) = L_(n+1) + L_n, and at large n against
+    # L_n = F_(n-1) + F_(n+1) from the additive Fibonacci loop
+    a, b = 2, 1
+    for n in range(600):
+        assert lucas(n) == a, n
+        a, b = b, a + b
+    for n in (4097, 5000, 65536):
+        assert lucas(n) == fibonacci(n - 1) + fibonacci(n + 1), n
+    with pytest.raises(ValueError):
+        lucas(-1)
+
+
 def test_index_path_examples():
     assert index_path(0) == 1
     assert index_path(1) == 2
