@@ -33,22 +33,24 @@ from .groups import GroupSpec, order_counts, order_two_count, small_order_count
 
 
 def iroot(x: int, n: int) -> tuple[int, bool]:
-    """Floor integer n-th root of x >= 0, plus whether it is exact."""
+    """Floor integer n-th root of x >= 0, plus whether it is exact.
+
+    mpmath's root at 64 bits beyond the root's own length lands within one
+    of the floor; the integer loops then make it exact.
+    """
     if x < 0 or n < 1:
         raise ValueError("iroot needs x >= 0 and n >= 1")
     if x == 0:
         return 0, True
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        t = ((n - 1) * r + x // r ** (n - 1)) // n
-        if t >= r:
-            break
-        r = t
-    while r**n > x:
+    with mpmath.workprec(x.bit_length() // n + 64):
+        r = int(mpmath.root(x, n))
+    power = r**n
+    while power > x:
         r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r, r**n == x
+        power = r**n
+    while (above := (r + 1) ** n) <= x:
+        r, power = r + 1, above
+    return r, power == x
 
 
 def iroot_ceil(x: int, n: int) -> int:

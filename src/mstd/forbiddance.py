@@ -17,7 +17,7 @@ anything else is labeled generic and left to the exact counter.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -182,24 +182,20 @@ class Decomposition:
 
 
 def _components_after_loops(graph: ForbiddanceGraph) -> list[list[int]]:
-    alive = [v for v in range(graph.n) if v not in graph.loops]
-    alive_set = set(alive)
-    seen: set[int] = set()
+    """Components of the loop-free vertices, each in BFS order from its
+    smallest label with neighbours visited in ascending order."""
+    seen = set(graph.loops)
     comps = []
-    for start in alive:
+    for start in range(graph.n):
         if start in seen:
             continue
-        comp = []
-        queue = deque([start])
         seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in graph.neighbors[v]:
-                if u in alive_set and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(sorted(comp))
+        comp = [start]
+        for v in comp:  # BFS: the list grows while it is walked
+            for u in sorted(graph.neighbors[v] - seen):
+                seen.add(u)
+                comp.append(u)
+        comps.append(comp)
     return comps
 
 

@@ -122,3 +122,20 @@ def naive_independent_sets(neighbors):
         if ok:
             count += 1
     return count
+
+
+def newton_iroot(x, n):
+    """Floor integer n-th root of x >= 0 by integer Newton from a power of two."""
+    if x == 0:
+        return 0
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        t = ((n - 1) * r + x // r ** (n - 1)) // n
+        if t >= r:
+            break
+        r = t
+    while r**n > x:
+        r -= 1
+    while (r + 1) ** n <= x:
+        r += 1
+    return r

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +29,8 @@ from mstd.groups import (
     small_order_set,
 )
 
+from oracles import newton_iroot
+
 Z8 = GroupSpec((8,))
 Z9 = GroupSpec((9,))
 
@@ -42,6 +45,29 @@ def test_iroot():
             r, exact = iroot(x, n)
             assert r**n <= x < (r + 1) ** n
             assert exact == (r**n == x)
+
+
+def test_iroot_matches_integer_newton():
+    rng = random.Random(11)
+    cases = [(x, n) for x in list(range(50)) + [10**30, 15**81] for n in (2, 3, 6, 8)]
+    for _ in range(400):
+        n, r = rng.randint(1, 40), rng.getrandbits(rng.randint(1, 150)) + 1
+        # exact powers and their neighbours, where an off-by-one would show
+        cases += [(r**n - 1, n), (r**n, n), (r**n + 1, n), (rng.getrandbits(3000), n)]
+    cases += [(15**5003, 6), (31**5003, 8)]
+    for x, n in cases:
+        r = newton_iroot(x, n)
+        assert iroot(x, n) == (r, r**n == x), (x, n)
+
+
+@pytest.mark.parametrize("off", [-3, 3])
+def test_iroot_corrects_a_wrong_start(monkeypatch, off):
+    # the exact integer loops, not mpmath, decide the result
+    root = mpmath.root
+    monkeypatch.setattr(mpmath, "root", lambda x, n: root(x, n) + off)
+    for x, n in ((7**12, 4), (7**12 - 1, 4), (15**81, 6), (10**30 + 1, 3)):
+        r = newton_iroot(x, n)
+        assert iroot(x, n) == (r, r**n == x), (x, n)
 
 
 def test_upper_bound_examples():

@@ -7,7 +7,7 @@ from decimal import Decimal
 import mpmath
 import pytest
 
-from mstd import enumerate_subsets, verify
+from mstd import enumerate_subsets, fib_index, verify
 from mstd.bounds import asymptotic, lower_bound_even, lower_bound_odd, upper_bound
 from mstd.cli import main
 from mstd.groups import GroupSpec
@@ -220,6 +220,31 @@ def test_forbid_cycles(capsys):
     assert rec["independent_sets"] == "81"
     comps = json.loads(rec["components"])
     assert comps == [{"kind": "edge", "param": 2, "size": 2, "count": 4}]
+
+
+def test_forbid_above_eliminator_cap(capsys):
+    # one generic 56-vertex component: over the eliminator's 40-vertex cap
+    code, out, _ = run_cli(capsys, "forbid", "-g", "56", "--diffs", "1,9")
+    assert code == 0
+    (rec,) = parse_records(out)
+    assert rec["independent_sets"] == "8249808495"
+    assert json.loads(rec["components"])[0]["kind"] == "generic"
+
+
+def test_forbid_all_odd_differences(capsys):
+    # K_{20,20}: 2^20 + 2^20 - 1 independent sets
+    diffs = ",".join(str(d) for d in range(1, 20, 2))
+    code, out, _ = run_cli(capsys, "forbid", "-g", "40", "--diffs", diffs)
+    assert code == 0
+    (rec,) = parse_records(out)
+    assert rec["independent_sets"] == "2097151"
+
+
+def test_forbid_frontier_state_cap_refusal(capsys, monkeypatch):
+    monkeypatch.setattr(fib_index, "FRONTIER_STATE_CAP", 8)
+    code, out, err = run_cli(capsys, "forbid", "-g", "56", "--diffs", "1,9")
+    assert code == 2 and out == ""
+    assert "more than 8 frontier states (FRONTIER_STATE_CAP)" in err
 
 
 def test_forbid_edge_dump(capsys):

@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
 import random
 
 import mpmath
 import pytest
 
+from mstd import fib_index
 from mstd.fib_index import (
+    GENERIC_COMPONENT_CAP,
     ComponentTooLargeError,
     count_independent_sets,
     cycle_neighbors,
@@ -20,8 +24,8 @@ from mstd.fib_index import (
     prism_neighbors,
     regular_bound_check,
 )
-from mstd.forbiddance import build_graph
-from mstd.groups import GroupSpec
+from mstd.forbiddance import build_graph, decompose
+from mstd.groups import GroupSpec, groups_up_to, half_set
 
 from oracles import naive_independent_sets
 
@@ -140,6 +144,107 @@ def test_fib_index_generic_component():
     g9 = GroupSpec((9,))
     graph = build_graph(g9, (1, 2))
     assert fib_index_exact(graph) == naive_independent_sets(graph.neighbors)
+
+
+def _families(g):
+    """1-2 differences from the half set, each with no sum or one sum."""
+    base = sorted(half_set(g))
+    for diffs in [(d,) for d in base] + list(itertools.combinations(base, 2)):
+        for sums in [()] + [(s,) for s in range(g.order)]:
+            yield diffs, sums
+
+
+def _alive(graph):
+    return set(range(graph.n)) - graph.loops
+
+
+def test_frontier_dp_matches_eliminator_on_generic_components():
+    # each generic component alone: every other vertex is marked looped
+    seen = 0
+    for g in groups_up_to(12):
+        for diffs, sums in _families(g):
+            graph = build_graph(g, diffs, sums)
+            for comp in decompose(graph).components:
+                if comp.kind != "generic":
+                    continue
+                alone = dataclasses.replace(
+                    graph, loops=frozenset(range(graph.n)) - set(comp.vertices)
+                )
+                want = count_independent_sets(graph.neighbors, set(comp.vertices))
+                assert fib_index_exact(alone) == want, (g, diffs, sums, comp.vertices)
+                seen += 1
+    assert seen == 1532
+
+
+@pytest.mark.parametrize("factors, diffs", [((38,), (1, 2)), ((13, 3), (1, 13)), ((40,), (1, 12))])
+def test_frontier_dp_matches_eliminator_at_its_cap(factors, diffs):
+    graph = build_graph(GroupSpec(factors), diffs)
+    (comp,) = decompose(graph).components
+    assert comp.kind == "generic" and 36 <= comp.param <= 40
+    assert fib_index_exact(graph) == count_independent_sets(graph.neighbors, _alive(graph))
+
+
+@pytest.mark.parametrize(
+    "factors, diffs, sums, shape, closed_form",
+    [
+        ((60,), (1,), (), ("cycle", 60), index_cycle),
+        ((200,), (1,), (), ("cycle", 200), index_cycle),
+        ((121,), (1,), (0,), ("ladder", 60), index_ladder),
+        ((201,), (1,), (0,), ("ladder", 100), index_ladder),
+        ((30, 2), (1, 30), (), ("prism", 30), index_prism),
+        ((60, 2), (1, 60), (), ("prism", 60), index_prism),
+        ((100, 2), (1, 100), (), ("prism", 100), index_prism),
+    ],
+)
+def test_frontier_dp_above_eliminator_cap_matches_closed_forms(
+    factors, diffs, sums, shape, closed_form
+):
+    graph = build_graph(GroupSpec(factors), diffs, sums)
+    assert decompose(graph).multiplicities() == {shape: 1}
+    assert len(_alive(graph)) > GENERIC_COMPONENT_CAP
+    assert fib_index_exact(graph) == closed_form(shape[1])
+
+
+@pytest.mark.parametrize(
+    "n, diffs, count",
+    [(56, (1, 9), 8249808495), (100, (1, 7), 503517483150058972)],
+)
+def test_frontier_dp_invariant_under_unit_relabelling(n, diffs, count):
+    # x -> 3x is an automorphism of Z/n carrying D to 3D; the BFS orders differ
+    g = GroupSpec((n,))
+    graph = build_graph(g, diffs)
+    assert decompose(graph).multiplicities() == {("generic", n): 1}
+    assert fib_index_exact(graph) == count
+    assert fib_index_exact(build_graph(g, tuple(3 * d for d in diffs))) == count
+
+
+@pytest.mark.parametrize("n, count", [(38, 2**19 + 2**19 - 1), (40, 2**20 + 2**20 - 1)])
+def test_frontier_dp_counts_complete_bipartite(monkeypatch, n, count):
+    # all odd differences give K_{n/2,n/2}; a state records which unplaced
+    # vertices are blocked, so the DP needs 3 states and no eliminator
+    def no_fallback(*args):
+        raise AssertionError("the eliminator was called")
+
+    monkeypatch.setattr(fib_index, "FRONTIER_STATE_CAP", 3)
+    monkeypatch.setattr(fib_index, "count_independent_sets", no_fallback)
+    graph = build_graph(GroupSpec((n,)), tuple(range(1, n // 2 + 1, 2)))
+    assert fib_index_exact(graph) == count
+
+
+def test_frontier_state_cap_falls_back_to_eliminator(monkeypatch):
+    # components within the eliminator's cap are counted, never refused
+    graph = build_graph(GroupSpec((9,)), (1, 2))
+    want = count_independent_sets(graph.neighbors)
+    monkeypatch.setattr(fib_index, "FRONTIER_STATE_CAP", 1)  # overflows at once
+    assert fib_index_exact(graph) == want == naive_independent_sets(graph.neighbors)
+
+
+def test_frontier_state_cap_refusal(monkeypatch):
+    monkeypatch.setattr(fib_index, "FRONTIER_STATE_CAP", 8)
+    graph = build_graph(GroupSpec((56,)), (1, 9))
+    message = r"56 vertices needs more than 8 frontier states \(FRONTIER_STATE_CAP\)"
+    with pytest.raises(ComponentTooLargeError, match=message):
+        fib_index_exact(graph)
 
 
 def test_component_cap_refusal():
