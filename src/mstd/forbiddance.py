@@ -72,6 +72,18 @@ class ForbiddanceGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _affine_table(group: GroupSpec, c: int, t: int) -> list[int]:
+    """Index of c*x + t for every element x, in index order.
+
+    The map acts digit by digit, so the table is built one cyclic factor at
+    a time, with no group arithmetic per element.
+    """
+    table = [0]
+    for s, a, digit in zip(group.strides, group.factors, group.digits(t)):
+        table = [((c * k + digit) % a) * s + rest for k in range(a) for rest in table]
+    return table
+
+
 def build_graph(
     group: GroupSpec,
     diffs: Iterable[int] = (),
@@ -81,20 +93,21 @@ def build_graph(
     spec = ForbiddanceSpec.of(group, diffs, sums)
     n = group.order
     adj: list[set[int]] = [set() for _ in range(n)]
-    loops = set()
+    # x + d for each d, then s - x for each s: inserting in this order per x
+    # fixes each neighbour set's iteration order, which edge_list_text prints
+    tables = [_affine_table(group, 1, d) for d in spec.diffs]
+    tables += [_affine_table(group, -1, s) for s in spec.sums]
     for x in range(n):
-        if group.double(x) in spec.sums or 0 in spec.diffs:
-            loops.add(x)
-        for d in spec.diffs:
-            y = group.add(x, d)
+        for table in tables:
+            y = table[x]
             if y != x:
                 adj[x].add(y)
                 adj[y].add(x)
-        for s in spec.sums:
-            y = group.sub(s, x)
-            if y != x:
-                adj[x].add(y)
-                adj[y].add(x)
+    if 0 in spec.diffs:
+        loops = set(range(n))
+    else:
+        doubled = _affine_table(group, 2, 0)
+        loops = {x for x in range(n) if doubled[x] in spec.sums}
     return ForbiddanceGraph(
         group=group,
         spec=spec,
@@ -192,9 +205,9 @@ def _components_after_loops(graph: ForbiddanceGraph) -> list[list[int]]:
         seen.add(start)
         comp = [start]
         for v in comp:  # BFS: the list grows while it is walked
-            for u in sorted(graph.neighbors[v] - seen):
-                seen.add(u)
-                comp.append(u)
+            fresh = sorted(graph.neighbors[v] - seen)
+            seen.update(fresh)
+            comp.extend(fresh)
         comps.append(comp)
     return comps
 
@@ -261,11 +274,15 @@ def _rung_walk(
     order = tuple(v for rung in zip(a, b) for v in rung)
     if len(set(order)) != len(order):
         return None
-    built = {frozenset(rung) for rung in zip(a, b)}
     steps = rungs if closed else rungs - 1
-    built |= {frozenset((r[i], r[(i + 1) % rungs])) for r in (a, b) for i in range(steps)}
-    edges = {frozenset((u, v)) for u in nbrs for v in nbrs[u]}
-    return order if built == edges else None
+    built = list(zip(a, b))
+    built += [(r[i], r[(i + 1) % rungs]) for r in (a, b) for i in range(steps)]
+    # distinct vertices make these distinct edges (closed rails need 3 rungs,
+    # as prisms do), so they are the component's edges when there are as
+    # many and each is one
+    if (closed and rungs < 3) or 2 * len(built) != sum(len(s) for s in nbrs.values()):
+        return None
+    return order if all(v in nbrs[u] for u, v in built) else None
 
 
 def _ladder_witness(nbrs: dict[int, set[int]], rungs: int) -> Optional[tuple[int, ...]]:

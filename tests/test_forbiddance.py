@@ -8,6 +8,7 @@ from mstd.forbiddance import (
     decompose,
 )
 from mstd.groups import GroupSpec
+from oracles import TupleGroup
 
 Z8 = GroupSpec((8,))
 Z9 = GroupSpec((9,))
@@ -192,3 +193,41 @@ def test_components_partition_vertices():
         dec = decompose(build_graph(Z8, diffs, sums))
         covered = sum(len(c.vertices) for c in dec.components) + len(dec.looped)
         assert covered == Z8.order
+
+
+def test_graph_matches_tuple_arithmetic():
+    """Edges and loops follow x - y in D, x + y in S and 2x in S, computed on
+    digit tuples, across ranks 0-3 and mixed factor orders."""
+    for factors in [(), (7,), (8,), (6, 2), (3, 3), (4, 2, 2), (5, 3)]:
+        g = GroupSpec(factors)
+        tg = TupleGroup(factors)
+        n = tg.n
+        families = [((), ()), ((1 % n,), ()), ((n - 1,), (n // 2,)), ((1 % n, n // 3), (0, n - 1))]
+        for diffs, sums in families:
+            graph = build_graph(g, diffs, sums)
+            d_set = {tg.elems[d] for d in diffs} | {tg.neg(tg.elems[d]) for d in diffs}
+            s_set = {tg.elems[s] for s in sums}
+            for x, ex in enumerate(tg.elems):
+                want = {
+                    y
+                    for y, ey in enumerate(tg.elems)
+                    if y != x and (tg.sub(ex, ey) in d_set or tg.add(ex, ey) in s_set)
+                }
+                assert graph.neighbors[x] == want, (factors, diffs, sums, x)
+            zero = tg.elems[0]
+            loops = {x for x, ex in enumerate(tg.elems) if tg.add(ex, ex) in s_set or zero in d_set}
+            assert graph.loops == loops, (factors, diffs, sums)
+
+
+def test_rung_walk_refuses_an_extra_edge():
+    """The walk never looks past the last rung or back at a_0, so a chord
+    from a_0 to the far corner leaves every step intact: the witness must
+    still fail because the component has one edge more than the ladder."""
+    from mstd.fib_index import ladder_neighbors
+    from mstd.forbiddance import _rung_walk
+
+    nbrs = {v: set(s) for v, s in enumerate(ladder_neighbors(4))}
+    assert _rung_walk(nbrs, 0, 4, 1, 4, closed=False) == (0, 4, 1, 5, 2, 6, 3, 7)
+    nbrs[0].add(3)
+    nbrs[3].add(0)
+    assert _rung_walk(nbrs, 0, 4, 1, 4, closed=False) is None
