@@ -11,12 +11,14 @@ threads=2 against threads=1: `count_avoiding` on Z/24 with d = 1 went from
 to 2.9-3.6 s, slower in 5 of 6 interleaved pairs. No scan that `count_mstd`
 runs uses threads.
 
-Group translation is precompiled into uint64 rotation tables: row e of
-keep/up/wrap/down rotates digit i of a mask by the i-th digit of element e.
-`translate` applies one row to a whole block (the DFS applies it to a
-batch of nodes, one fixed element at a time); `sum_diff` takes the unions
-of the translates A + a and A - a over a in A, one element at a time,
-across every mask of the block at once.
+Group translation comes from the group's translation plan in `subsets`
+(`subsets.translation_plan`), the one the Python-int sumset and diffset
+run: `Tables` converts each element's (keep, up, wrap, down) rotations to
+uint64 and copies the negation table. `translate` applies one element's
+rotations to a whole block (the DFS applies them to a batch of nodes, one
+fixed element at a time); `sum_diff` takes the unions of the translates
+A + a and A - a over a in A, one element at a time, across every mask of
+the block at once.
 
 numpy is imported inside the functions, not at module top, so importing the
 package for bounds or graphs alone does not load it.
@@ -25,7 +27,7 @@ package for bounds or graphs alone does not load it.
 from __future__ import annotations
 
 from .groups import GroupSpec
-from .subsets import _rotation
+from .subsets import translation_plan
 
 #: There is no compiled backend; kept as a constant because
 #: perfbench/run.py:facts() records it.
@@ -42,21 +44,13 @@ class Tables:
     def __init__(self, group: GroupSpec):
         import numpy as np
 
-        n, r = group.order, group.rank
+        n = group.order
         self.n = n
         self.full = np.uint64((1 << n) - 1)
-        self.neg = [group.neg(e) for e in range(n)]
-        rows = np.zeros((4, n, r), dtype=np.uint64)
-        for e in range(n):
-            for i, (s, a) in enumerate(zip(group.strides, group.factors)):
-                v = (e // s) % a
-                if v:
-                    rows[:, e, i] = _rotation(group, i, v)
-        # (keep, up, wrap, down) of the digits each element rotates; a zero
-        # digit is the identity and is skipped (its up is 0)
+        moves, neg = translation_plan(group)
+        self.neg = [neg[e] for e in range(n)]
         self._moves = [
-            [tuple(row[e, i] for row in rows) for i in range(r) if rows[1, e, i]]
-            for e in range(n)
+            [tuple(np.uint64(x) for x in move) for move in moves[e]] for e in range(n)
         ]
 
     @staticmethod

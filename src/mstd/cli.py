@@ -2,8 +2,10 @@
 inspection, verification sweeps and convergence tables.
 
 Output is one JSON record per line by default; --format csv/table switch the
-rendering of `count`, `bound`, `forbid` and `table`. Each flag is defined
-only on the subcommands that read it, and only the command line sets it.
+rendering of `count`, `bound`, `forbid` and `table`. `verify` prints one
+PASS/FAIL line per check unless --format json/csv/table asks for records.
+Each flag is defined only on the subcommands that read it, and only the
+command line sets it.
 Parse failures and cap refusals exit nonzero with a message on stderr;
 `verify` exits 0 only when every selected check passes.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from . import enumerate_subsets as enum
-from .bounds import build_report, even_upper_ratio
+from .bounds import _int_str, build_report, even_upper_ratio
 from .fib_index import fib_index_exact
 from .forbiddance import build_graph, decompose
 from .groups import GroupSpec, groups_up_to
@@ -63,12 +66,17 @@ def _seconds(raw: str) -> float:
     return float(raw)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser, default: str = "json") -> None:
+    """--format json/csv/table; a subcommand with its own text rendering
+    passes default="text" to keep it as the default."""
+    choices = ("json", "csv", "table")
+    if default == "text":
+        choices = ("text",) + choices
     parser.add_argument(
         "--format",
-        choices=("json", "csv", "table"),
-        default="json",
-        help="output rendering (default json, one record per line)",
+        choices=choices,
+        default=default,
+        help=f"output rendering (default {default}; json is one record per line)",
     )
 
 
@@ -135,7 +143,7 @@ def cmd_forbid(args: argparse.Namespace) -> int:
         "group": str(group),
         "diffs": ",".join(str(d) for d in sorted(graph.spec.diffs)),
         "sums": ",".join(str(s) for s in sorted(graph.spec.sums)),
-        "independent_sets": str(index),
+        "independent_sets": _int_str(index),
     }
     record.update(dec.to_record())
     record["components"] = json.dumps(record["components"])
@@ -172,12 +180,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         threads=args.threads,
         seed=args.seed,
     )
-    all_ok = True
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        all_ok &= res.passed
-        print(f"{status} {res.name}: {res.detail}")
-    return 0 if all_ok else 1
+    if args.format == "text":
+        for res in results:
+            print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+    else:
+        _emit([dataclasses.asdict(res) for res in results], args.format)
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _family_groups(family: str, lo: int, hi: int) -> list[GroupSpec]:
@@ -308,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker threads for the subset scans (default 1)",
     )
+    _add_format(p_verify, default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser(

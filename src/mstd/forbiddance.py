@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .groups import GroupSpec
@@ -72,16 +73,27 @@ class ForbiddanceGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _affine_table(group: GroupSpec, c: int, t: int) -> list[int]:
-    """Index of c*x + t for every element x, in index order.
+#: Tables `_affine_table` keeps. A sweep over the families of one group
+#: reuses its 2|G| + 1 tables, so 64 hold every group of order <= 31.
+AFFINE_TABLES = 64
+
+
+@lru_cache(maxsize=AFFINE_TABLES)
+def _affine_table(group: GroupSpec, c: int, t: int) -> tuple[int, ...]:
+    """Index of c*x + t for every element x, in index order; memoised.
 
     The map acts digit by digit, so the table is built one cyclic factor at
-    a time, with no group arithmetic per element.
+    a time, with no group arithmetic per element. A table of a group of
+    order n takes 8n bytes of tuple plus up to 32 bytes per entry above 256
+    (CPython shares only the small ints), so the memo holds at most
+    AFFINE_TABLES * 40n bytes: 270 KB if every table is of order 105, and
+    2.7 GB at the supported maximum n = 2^20 if 64 families of such a group
+    are built in one process.
     """
     table = [0]
     for s, a, digit in zip(group.strides, group.factors, group.digits(t)):
         table = [((c * k + digit) % a) * s + rest for k in range(a) for rest in table]
-    return table
+    return tuple(table)
 
 
 def build_graph(

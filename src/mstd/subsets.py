@@ -10,6 +10,16 @@ rotation of equally-sized bit blocks, so
 
 cost O(|A| * rank) word operations instead of the |A|^2 double loop.
 
+The arithmetic behind translation depends only on the group, so each group
+gets one memoised translation plan (`translation_plan`): for each element e,
+the (keep, up, wrap, down) rotation of each nonzero digit of e, and the
+index of -e. Both are filled per element on first use, so a sparse mask on
+a large group builds only the rotations its elements need. A full plan of a
+group of order n holds n move tuples of at most rank entries and n negation
+entries (about 230 bytes per element in CPython), plus one rotation per
+(digit, shift): sum(a_i) pairs of n-bit masks. The numpy block engine
+(`_kernels.Tables`) runs the same plan on uint64 arrays.
+
 Lifting: a subset of Z/a_1 x ... x Z/a_r pulls back to the integer box
 [0, k*a_1) x ... x [0, k*a_r) by congruence in each coordinate, and the box
 maps injectively to the integers via base-m positional encoding once m
@@ -22,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .groups import GroupSpec
 
@@ -108,14 +118,47 @@ def _rotation(group: GroupSpec, i: int, v: int) -> tuple[int, int, int, int]:
     return keep, v * s, wrap, (a - v) * s
 
 
-def translate_mask(group: GroupSpec, bits: int, g: int) -> int:
-    """Mask of {x + g : x in the mask}."""
-    for i, (s, a) in enumerate(zip(group.strides, group.factors)):
-        v = (g // s) % a
-        if v:
-            keep, up, wrap, down = _rotation(group, i, v)
-            bits = ((bits & keep) << up) | ((bits & wrap) >> down)
+class _PerElement(dict):
+    """A table over the elements of a group, each entry built on first lookup."""
+
+    def __init__(self, build: Callable[[int], object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, e: int):
+        out = self[e] = self.build(e)
+        return out
+
+
+class TranslationPlan(NamedTuple):
+    """Translation arithmetic of one group: `moves[e]` holds the (keep, up,
+    wrap, down) rotation of each nonzero digit of e, `neg[e]` the index of -e."""
+
+    moves: Mapping[int, tuple[tuple[int, int, int, int], ...]]
+    neg: Mapping[int, int]
+
+
+@lru_cache(maxsize=None)
+def translation_plan(group: GroupSpec) -> TranslationPlan:
+    """The group's translation plan, built once per group and filled per
+    element on first use."""
+
+    def moves(e: int) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(_rotation(group, i, v) for i, v in enumerate(group.digits(e)) if v)
+
+    return TranslationPlan(_PerElement(moves), _PerElement(group.neg))
+
+
+def _translate(bits: int, moves: tuple[tuple[int, int, int, int], ...]) -> int:
+    for keep, up, wrap, down in moves:
+        bits = ((bits & keep) << up) | ((bits & wrap) >> down)
     return bits
+
+
+def translate_mask(group: GroupSpec, bits: int, g: int) -> int:
+    """Mask of {x + g : x in the mask}; g must be an element index."""
+    group._check(g)
+    return _translate(bits, translation_plan(group).moves[g])
 
 
 def _iter_bits(bits: int):
@@ -128,18 +171,22 @@ def _iter_bits(bits: int):
 def sumset(subset: SubsetMask) -> SubsetMask:
     """A + A = {a + b : a, b in A}."""
     g = subset.group
+    bits = subset.bits
+    moves = translation_plan(g).moves
     out = 0
-    for a in _iter_bits(subset.bits):
-        out |= translate_mask(g, subset.bits, a)
+    for a in _iter_bits(bits):
+        out |= _translate(bits, moves[a])
     return SubsetMask(g, out)
 
 
 def diffset(subset: SubsetMask) -> SubsetMask:
     """A - A = {a - b : a, b in A}; always closed under negation."""
     g = subset.group
+    bits = subset.bits
+    moves, neg = translation_plan(g)
     out = 0
-    for b in _iter_bits(subset.bits):
-        out |= translate_mask(g, subset.bits, g.neg(b))
+    for b in _iter_bits(bits):
+        out |= _translate(bits, moves[neg[b]])
     return SubsetMask(g, out)
 
 

@@ -18,7 +18,8 @@ import functools
 import itertools
 import os
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Optional, Union
 
 from . import bounds as bnd
@@ -65,6 +66,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    cases: int
+    #: wall seconds of the run; not part of the result, so two runs compare equal
+    elapsed_s: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,7 @@ def _check(name: str) -> Callable[[Callable[[SweepConfig], CaseLoop]], Callable]
     def register(loop: Callable[[SweepConfig], CaseLoop]) -> Callable:
         @functools.wraps(loop)
         def run(cfg: SweepConfig) -> CheckResult:
+            start = time.perf_counter()
             failures: list[str] = []
             cases = 0
             steps = loop(cfg)
@@ -110,10 +115,11 @@ def _check(name: str) -> Callable[[Callable[[SweepConfig], CaseLoop]], Callable]
                 cases += 1
                 if found:
                     failures += [found] if isinstance(found, str) else found
+            elapsed = time.perf_counter() - start
             if not failures:
-                return CheckResult(name, True, detail.replace(CASES, str(cases)))
+                return CheckResult(name, True, detail.replace(CASES, str(cases)), cases, elapsed)
             more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-            return CheckResult(name, False, "; ".join(failures[:3]) + more)
+            return CheckResult(name, False, "; ".join(failures[:3]) + more, cases, elapsed)
 
         CHECKS[name] = run
         return run

@@ -247,6 +247,23 @@ def test_forbid_frontier_state_cap_refusal(capsys, monkeypatch):
     assert "more than 8 frontier states (FRONTIER_STATE_CAP)" in err
 
 
+def test_forbid_prints_counts_past_the_int_str_limit(capsys):
+    # one 5000-cycle: the Lucas number L_5000, 1045 digits
+    lucas = [2, 1]
+    for _ in range(4999):
+        lucas.append(lucas[-1] + lucas[-2])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "forbid", "-g", "5000", "-d", "1")
+        assert (code, err) == (0, "")
+        (rec,) = parse_records(out)
+        assert len(rec["independent_sets"]) == 1045
+        assert Decimal(rec["independent_sets"]) == Decimal(lucas[5000])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_forbid_edge_dump(capsys):
     code, out, err = run_cli(capsys, "forbid", "-g", "8", "-d", "1", "-s", "4", "--edges")
     assert code == 0
@@ -261,6 +278,24 @@ def test_verify_selected(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_json_records(capsys):
+    only = "conway,lift,closed-forms"
+    code, text, _ = run_cli(capsys, "verify", "--only", only, "--max-order", "8")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", "--only", only, "--max-order", "8", "--format", "json")
+    assert code == 0
+    records = parse_records(out)
+    assert [sorted(rec) for rec in records] == [
+        ["cases", "detail", "elapsed_s", "name", "passed"]
+    ] * 3
+    assert [rec["name"] for rec in records] == only.split(",")
+    assert all(rec["passed"] is True for rec in records)
+    assert [rec["cases"] for rec in records[:2]] == [1, 2]
+    assert all(isinstance(rec["elapsed_s"], float) and rec["elapsed_s"] >= 0 for rec in records)
+    # the default text lines carry the same details
+    assert text.splitlines() == [f"PASS {rec['name']}: {rec['detail']}" for rec in records]
 
 
 def test_verify_unknown_check(capsys):

@@ -2,6 +2,7 @@ import json
 
 from mstd.forbiddance import (
     ForbiddanceSpec,
+    _affine_table,
     build_graph,
     canonical_shape,
     classify_component,
@@ -231,3 +232,28 @@ def test_rung_walk_refuses_an_extra_edge():
     nbrs[0].add(3)
     nbrs[3].add(0)
     assert _rung_walk(nbrs, 0, 4, 1, 4, closed=False) is None
+
+
+def _graph_view(graph):
+    """What a memoised table could change: neighbour iteration order, loops
+    and the printed edge list."""
+    return [list(nb) for nb in graph.neighbors], sorted(graph.loops), graph.edge_list_text()
+
+
+def test_affine_table_memo_hits_build_what_misses_built():
+    families = [((1,), (4,)), ((1, 3), ()), ((2,), (0,)), ((), (5,)), ((0,), ())]
+    groups = [GroupSpec((12,)), GroupSpec((6, 2)), Z9]
+    _affine_table.cache_clear()
+    first = {}
+    for group in groups:
+        for diffs, sums in families:
+            first[group, diffs, sums] = _graph_view(build_graph(group, diffs, sums))
+    misses = _affine_table.cache_info().misses
+    # repeat every family with the other groups' calls interleaved between
+    for diffs, sums in reversed(families):
+        for group in groups:
+            again = _graph_view(build_graph(group, diffs, sums))
+            assert again == first[group, diffs, sums], (group, diffs, sums)
+    info = _affine_table.cache_info()
+    assert info.misses == misses and info.hits > 0
+    assert _affine_table(Z9, 2, 3) == tuple((2 * x + 3) % 9 for x in range(9))

@@ -16,6 +16,7 @@ from mstd.subsets import (
     sumset,
     translate_mask,
 )
+from mstd import _kernels
 
 from oracles import TupleGroup, naive_diffset, naive_sumset
 
@@ -132,6 +133,23 @@ def test_translate_composes(case, data):
     y = data.draw(st.integers(0, group.order - 1))
     once = translate_mask(group, translate_mask(group, bits, x), y)
     assert once == translate_mask(group, bits, group.add(x, y))
+
+
+def test_translate_refuses_elements_outside_the_group():
+    z2z2 = GroupSpec((2, 2))
+    for g in (4, 5, -1):
+        with pytest.raises(ValueError):
+            translate_mask(z2z2, 0b0001, g)
+    assert translate_mask(z2z2, 0b0001, 3) == 0b1000
+
+
+def test_block_and_int_executors_of_the_plan_agree():
+    for group in groups_up_to(8):
+        tables = _kernels.Tables(group)
+        masks = tables.masks(0, 1 << group.order)
+        for e in group.elements():
+            block = tables.translate(masks, e).tolist()
+            assert block == [translate_mask(group, bits, e) for bits in range(1 << group.order)]
 
 
 def test_integer_set_ops():
