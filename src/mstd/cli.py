@@ -149,7 +149,7 @@ def cmd_forbid(args: argparse.Namespace) -> int:
     record["components"] = json.dumps(record["components"])
     record["looped"] = ",".join(str(v) for v in dec.looped)
     reduced = {min(d, group.neg(d)) for d in graph.spec.diffs}
-    if len(reduced) == 1 and len(sums) == 1:
+    if len(reduced) == 1 and len(graph.spec.sums) == 1:
         (d,) = reduced
         m = group.element_order(d)
         if m % 2 == 1 and m > 1:

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .groups import GroupSpec
+from .subsets import translation_plan
 
 #: Hard ceilings on the group order. The MSTD count's DFS walks at most
 #: |G| * upper_bound(G) children; COUNT_CAP also bounds the exact rows of
@@ -366,14 +367,6 @@ def _count_mstd_dfs(
     return total, nodes
 
 
-def _reduce_diffs(group: GroupSpec, diffs: Iterable[int]) -> list[int]:
-    """One representative per {d, -d} pair (forbidding d also forbids -d)."""
-    reduced = set()
-    for d in diffs:
-        reduced.add(min(d, group.neg(d)))
-    return sorted(reduced)
-
-
 def count_avoiding(
     group: GroupSpec,
     diffs: Iterable[int] = (),
@@ -388,13 +381,15 @@ def count_avoiding(
 
     _check_cap(group, cap, "avoidance count")
     threads = _resolve_threads(threads)
-    dred = _reduce_diffs(group, diffs)
+    # the plan's negation table checks each index on its first lookup
+    neg = translation_plan(group).neg
+    dred = sorted({min(d, neg[d]) for d in diffs})  # forbidding d forbids -d
     slist = sorted(set(sums))
     for s in slist:
         group._check(s)
     if group.order <= _CHUNK_BITS:
         summ, diff = _block_sum_diff(group)
-        dbits = np.uint64(sum(1 << e for e in {*dred, *map(group.neg, dred)}))
+        dbits = np.uint64(sum(1 << e for e in {*dred, *(neg[d] for d in dred)}))
         sbits = np.uint64(sum(1 << s for s in slist))
         return int(np.count_nonzero(((diff & dbits) | (summ & sbits)) == 0))
     t = _tables(group)

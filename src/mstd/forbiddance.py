@@ -10,8 +10,13 @@ of this graph, so exact avoidance counts reduce to independent-set counts.
 Looped vertices can never join an independent set; they are deleted before
 any component is classified or counted. Components are matched against the
 shapes that actually occur for small forbidden families (cycles, paths,
-ladders P_m x P_2, prisms C_l x P_2) with an explicit isomorphism witness;
-anything else is labeled generic and left to the exact counter.
+ladders P_m x P_2, prisms C_l x P_2); anything else is labeled generic and
+left to the exact counter. Cycles and paths are told by degrees alone: a
+connected simple graph whose degrees are all 2 is a cycle, and one with two
+vertices of degree 1 and the rest of degree 2 has n - 1 edges, so it is a
+tree of maximum degree 2, a path. No degree test settles ladders and prisms,
+so they alone carry an explicit isomorphism witness, found by a rung walk
+whose edges must be exactly the component's.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .groups import GroupSpec
 
@@ -37,6 +42,8 @@ class ForbiddanceSpec:
         cls, group: GroupSpec, diffs: Iterable[int] = (), sums: Iterable[int] = ()
     ) -> "ForbiddanceSpec":
         closed = set()
+        # GroupSpec.neg, not the translation plan's table that the scans
+        # read: the two sides of the bijection oracle share no negation code
         for d in diffs:
             group._check(d)
             closed.add(d)
@@ -59,9 +66,6 @@ class ForbiddanceGraph:
     @property
     def n(self) -> int:
         return len(self.neighbors)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.neighbors[u] if u < v]
@@ -135,9 +139,10 @@ class Component:
     kind is one of "vertex", "edge", "path", "cycle", "ladder", "prism",
     "generic". param carries the natural size parameter (path vertices,
     cycle length, rungs of a ladder/prism; vertex count for generic).
-    witness lists, for the non-trivial shapes, the component vertices in the
-    order of a fixed traversal of the reference graph; for ladders and prisms
-    that is (a_0, b_0, a_1, b_1, ...), rung i being {a_i, b_i}.
+    Vertices and edges are labelled by size, cycles and paths by their
+    degree profile (the component being connected), so they need no witness. For ladders
+    and prisms witness lists the vertices as (a_0, b_0, a_1, b_1, ...), rung
+    i being {a_i, b_i}; it is None for every other kind.
     """
 
     kind: str
@@ -224,45 +229,8 @@ def _components_after_loops(graph: ForbiddanceGraph) -> list[list[int]]:
     return comps
 
 
-def _walk_path(vertices: list[int], nbrs: dict[int, set[int]]) -> Optional[list[int]]:
-    ends = [v for v in vertices if len(nbrs[v]) == 1]
-    if len(vertices) == 1:
-        return vertices
-    if len(ends) != 2 or any(len(nbrs[v]) > 2 for v in vertices):
-        return None
-    order = [min(ends)]
-    prev = None
-    while len(order) < len(vertices):
-        nxt = [u for u in nbrs[order[-1]] if u != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order if len(set(order)) == len(vertices) else None
-
-
-def _walk_cycle(vertices: list[int], nbrs: dict[int, set[int]]) -> Optional[list[int]]:
-    if any(len(nbrs[v]) != 2 for v in vertices):
-        return None
-    start = min(vertices)
-    order = [start]
-    prev = None
-    while True:
-        nxt = [u for u in nbrs[order[-1]] if u != prev]
-        if not nxt:
-            return None
-        prev = order[-1]
-        order.append(min(nxt) if len(order) == 1 else nxt[0])
-        if order[-1] == start:
-            order.pop()
-            break
-        if len(order) > len(vertices):
-            return None
-    return order if len(order) == len(vertices) else None
-
-
 def _rung_walk(
-    nbrs: dict[int, set[int]], a0: int, b0: int, a1: int, rungs: int, closed: bool
+    nbrs: dict[int, AbstractSet[int]], a0: int, b0: int, a1: int, rungs: int, closed: bool
 ) -> Optional[tuple[int, ...]]:
     """Witness (a_0, b_0, a_1, b_1, ...) of P_rungs x P_2, or of C_rungs x P_2
     when closed, built from the rung (a0, b0) and the rail step a0 -> a1.
@@ -297,24 +265,18 @@ def _rung_walk(
     return order if all(v in nbrs[u] for u, v in built) else None
 
 
-def _ladder_witness(nbrs: dict[int, set[int]], rungs: int) -> Optional[tuple[int, ...]]:
-    """Start at the smallest degree-2 corner; its degree-2 neighbour is its
-    rung partner and its other neighbour the next vertex on its rail."""
-    a0 = min(v for v in nbrs if len(nbrs[v]) == 2)
-    partner = [u for u in nbrs[a0] if len(nbrs[u]) == 2]
-    if len(partner) != 1:
-        return None
-    (a1,) = nbrs[a0] - set(partner)
-    return _rung_walk(nbrs, a0, partner[0], a1, rungs, closed=False)
-
-
-def _prism_witness(nbrs: dict[int, set[int]], rungs: int) -> Optional[tuple[int, ...]]:
-    """Start at the smallest vertex and try each (rung partner, rail
-    neighbour) pair among its three neighbours."""
-    a0 = min(nbrs)
+def _rung_witness(
+    nbrs: dict[int, AbstractSet[int]], rungs: int, closed: bool
+) -> Optional[tuple[int, ...]]:
+    """Start at a0, the smallest vertex of least degree (a ladder's smallest
+    corner, any vertex of a prism), and try each (rung partner, rail
+    neighbour) pair among its neighbours. From a ladder's corner, the walk
+    that takes the rail neighbour as partner stops at once: its second rail
+    vertex is a0's true partner, a corner with no neighbour left to step to."""
+    a0 = min(nbrs, key=lambda v: (len(nbrs[v]), v))
     for b0 in sorted(nbrs[a0]):
         for a1 in sorted(nbrs[a0] - {b0}):
-            witness = _rung_walk(nbrs, a0, b0, a1, rungs, closed=True)
+            witness = _rung_walk(nbrs, a0, b0, a1, rungs, closed)
             if witness is not None:
                 return witness
     return None
@@ -323,37 +285,28 @@ def _prism_witness(nbrs: dict[int, set[int]], rungs: int) -> Optional[tuple[int,
 def classify_component(
     vertices: list[int], neighbors: tuple[frozenset[int], ...]
 ) -> Component:
-    """Label one connected loop-free component, verifying by witness."""
+    """Label one connected loop-free component: cycles and paths by their
+    degrees, ladders and prisms by a rung walk with an exact edge check."""
     vset = set(vertices)
-    nbrs = {v: set(neighbors[v]) & vset for v in vertices}
+    nbrs = {v: neighbors[v] & vset for v in vertices}
     n = len(vertices)
     vs = tuple(sorted(vertices))
+    degs = sorted(len(s) for s in nbrs.values())
 
     if n == 1:
-        return Component("vertex", 1, vs, vs)
+        return Component("vertex", 1, vs)
     if n == 2:
-        return Component("edge", 2, vs, vs)
-
-    cyc = _walk_cycle(vertices, nbrs)
-    if cyc is not None:
-        return Component("cycle", n, vs, tuple(cyc))
-    path = _walk_path(vertices, nbrs)
-    if path is not None:
-        return Component("path", n, vs, tuple(path))
-
-    degs = sorted(len(nbrs[v]) for v in vertices)
-    if n % 2 == 0 and n >= 6:
-        half = n // 2
-        if degs == [2] * 4 + [3] * (n - 4):
-            witness = _ladder_witness(nbrs, half)
-            if witness is not None:
-                return Component("ladder", half, vs, witness)
-        if degs == [3] * n:
-            witness = _prism_witness(nbrs, half)
-            if witness is not None:
-                return Component("prism", half, vs, witness)
-
-    return Component("generic", n, vs, None)
+        return Component("edge", 2, vs)
+    if degs == [2] * n:
+        return Component("cycle", n, vs)
+    if degs == [1, 1] + [2] * (n - 2):
+        return Component("path", n, vs)
+    if n % 2 == 0 and n >= 6 and degs in ([2] * 4 + [3] * (n - 4), [3] * n):
+        closed = degs[0] == 3
+        witness = _rung_witness(nbrs, n // 2, closed)
+        if witness is not None:
+            return Component("prism" if closed else "ladder", n // 2, vs, witness)
+    return Component("generic", n, vs)
 
 
 def decompose(graph: ForbiddanceGraph) -> Decomposition:

@@ -113,9 +113,6 @@ class GroupSpec:
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
-    def double(self, x: int) -> int:
-        return self.add(x, x)
-
     def element_order(self, g: int) -> int:
         """Smallest m >= 1 with m*g = 0; divides the group exponent."""
         self._check(g)

@@ -30,6 +30,7 @@ directly to residue-class representatives below k*n.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -126,7 +127,8 @@ class _PerElement(dict):
         self.build = build
 
     def __missing__(self, e: int):
-        out = self[e] = self.build(e)
+        # a float key equal to an index would store a float entry under it
+        out = self[e] = self.build(operator.index(e))
         return out
 
 

@@ -213,6 +213,17 @@ def test_forbid_prism_ladder_counters(capsys):
     assert rec["ladders"] == 1
 
 
+def test_forbid_repeated_sum_keeps_prism_ladder_counters(capsys):
+    # -s 0,0 forbids the one sum 0, the same graph as -s 0
+    records = []
+    for sums in ("0", "0,0"):
+        code, out, _ = run_cli(capsys, "forbid", "-g", "9", "-d", "3", "-s", sums)
+        assert code == 0
+        records.append(parse_records(out))
+    assert records[0] == records[1]
+    assert (records[1][0]["prisms"], records[1][0]["ladders"]) == (1, 1)
+
+
 def test_forbid_cycles(capsys):
     code, out, _ = run_cli(capsys, "forbid", "-g", "8", "-d", "4")
     assert code == 0

@@ -182,6 +182,11 @@ def test_count_avoiding_rejects_out_of_range_sums():
         for s in (-1, g.order):
             with pytest.raises(ValueError, match="out of range"):
                 count_avoiding(g, (1,), (s,))
+            # the negation table builds -d on first lookup, so a bad
+            # difference is refused every time, not only the first
+            for _ in range(2):
+                with pytest.raises(ValueError, match="out of range"):
+                    count_avoiding(g, (s,), (1,))
 
 
 def test_count_avoiding_matches_graph_route():

@@ -1,14 +1,29 @@
+import itertools
 import json
+import random
+from collections import Counter
 
+from mstd.fib_index import (
+    count_independent_sets,
+    cycle_neighbors,
+    index_cycle,
+    index_ladder,
+    index_path,
+    index_prism,
+    ladder_neighbors,
+    path_neighbors,
+    prism_neighbors,
+)
 from mstd.forbiddance import (
     ForbiddanceSpec,
     _affine_table,
+    _rung_walk,
     build_graph,
     canonical_shape,
     classify_component,
     decompose,
 )
-from mstd.groups import GroupSpec
+from mstd.groups import GroupSpec, groups_up_to, half_set
 from oracles import TupleGroup
 
 Z8 = GroupSpec((8,))
@@ -92,13 +107,6 @@ def test_shape_aliases():
 
 
 def test_classify_standard_shapes():
-    from mstd.fib_index import (
-        cycle_neighbors,
-        ladder_neighbors,
-        path_neighbors,
-        prism_neighbors,
-    )
-
     c = classify_component(list(range(5)), path_neighbors(5))
     assert (c.kind, c.param) == ("path", 5)
     c = classify_component(list(range(6)), cycle_neighbors(6))
@@ -124,10 +132,6 @@ def _relabel(neighbors, perm):
 
 
 def test_rung_walk_witness_maps_reference_edges():
-    import random
-
-    from mstd.fib_index import ladder_neighbors, prism_neighbors
-
     rng = random.Random(0)
     for kind, build, rungs in [
         ("ladder", ladder_neighbors, 3),
@@ -165,6 +169,58 @@ def test_three_regular_non_prisms_are_generic():
     for nbrs in (k33, wagner):
         c = classify_component(list(range(len(nbrs))), nbrs)
         assert (c.kind, c.witness) == ("generic", None)
+
+
+CLOSED_FORMS = {
+    "vertex": lambda n: 2,
+    "edge": lambda n: 3,
+    "path": index_path,
+    "cycle": index_cycle,
+    "ladder": index_ladder,
+    "prism": index_prism,
+}
+
+
+def test_labels_match_counts():
+    """Every label a small family gets names the closed form that counts its
+    component, by the eliminator on the component's own vertices."""
+    seen = Counter()
+    for g in groups_up_to(12, min_order=2):
+        base = sorted(half_set(g))  # one difference per {d, -d} pair
+        for k in range(3):
+            for diffs in itertools.combinations(base, k):
+                for sums in [()] + [(s,) for s in range(g.order)]:
+                    graph = build_graph(g, diffs, sums)
+                    for c in decompose(graph).components:
+                        if c.kind == "generic":
+                            continue
+                        got = count_independent_sets(graph.neighbors, set(c.vertices))
+                        assert got == CLOSED_FORMS[c.kind](c.param), (g, diffs, sums, c)
+                        seen[c.kind] += 1
+    assert seen == {"vertex": 158, "edge": 1040, "cycle": 983, "ladder": 261, "prism": 523}
+
+
+def test_degree_profile_labels_relabelled_paths_and_cycles():
+    rng = random.Random(1)
+    for n in range(3, 13):
+        for kind, build in (("path", path_neighbors), ("cycle", cycle_neighbors)):
+            perm = list(range(20, 20 + n))
+            rng.shuffle(perm)
+            full = _relabel(build(n), perm)
+            c = classify_component(perm, full)
+            assert (c.kind, c.param, c.witness) == (kind, n, None)
+            assert c.vertices == tuple(range(20, 20 + n))
+            assert count_independent_sets(full, set(perm)) == CLOSED_FORMS[kind](n)
+
+
+def test_ladder_degree_profile_with_a_triangle_is_generic():
+    # a 6-cycle plus the chord {0, 2}: four vertices of degree 2 and two of
+    # degree 3, as on the 3-rung ladder, but 0-1-2 is a triangle
+    nbrs = list(cycle_neighbors(6))
+    nbrs[0] |= {2}
+    nbrs[2] |= {0}
+    c = classify_component(list(range(6)), tuple(nbrs))
+    assert (c.kind, c.param, c.witness) == ("generic", 6, None)
 
 
 def test_witness_orders_vertices():
@@ -224,9 +280,6 @@ def test_rung_walk_refuses_an_extra_edge():
     """The walk never looks past the last rung or back at a_0, so a chord
     from a_0 to the far corner leaves every step intact: the witness must
     still fail because the component has one edge more than the ladder."""
-    from mstd.fib_index import ladder_neighbors
-    from mstd.forbiddance import _rung_walk
-
     nbrs = {v: set(s) for v, s in enumerate(ladder_neighbors(4))}
     assert _rung_walk(nbrs, 0, 4, 1, 4, closed=False) == (0, 4, 1, 5, 2, 6, 3, 7)
     nbrs[0].add(3)

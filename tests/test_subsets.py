@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from mstd.groups import GroupSpec, groups_up_to
 from mstd.subsets import (
     SubsetMask,
+    _PerElement,
     default_lift_base,
     diffset,
     integer_diffset,
@@ -141,6 +142,14 @@ def test_translate_refuses_elements_outside_the_group():
         with pytest.raises(ValueError):
             translate_mask(z2z2, 0b0001, g)
     assert translate_mask(z2z2, 0b0001, 3) == 0b1000
+
+
+def test_plan_tables_refuse_a_float_index():
+    # 3.0 == 3, so a float entry stored under it would be what neg[3] returns
+    neg = _PerElement(GroupSpec((8,)).neg)
+    with pytest.raises(TypeError):
+        neg[3.0]
+    assert neg[3] == 5 and type(neg[3]) is int
 
 
 def test_block_and_int_executors_of_the_plan_agree():
