@@ -7,9 +7,18 @@ A, -A, A+A and A-A incrementally. A subtree is dropped once A-A = G: every
 superset keeps A-A = G and |A+A| <= |G|, so none is MSTD. Translation keeps
 MSTD status and a set of size k has k translates that contain 0, so the
 count is the sum over k of (|G|/k) c_k, with c_k the MSTD sets of size k
-that contain 0. Live nodes wait in pools by their largest element and are
-expanded in numpy batches, one fixed x at a time. The walk runs on one
-thread.
+that contain 0. Live nodes wait in pools by their largest element. A batch
+is taken from the highest pool that fills one, else from the lowest
+non-empty pool, and is swept up through x = top+1, ..., |G|-1 with one
+numpy step per x. After step x the live children of x, then the nodes
+waiting in pool x, join the batch while it has room; each of them has
+largest element x, so every node is still expanded once by each x above its
+largest element. The rest waits in pool x. A batch lives in four
+preallocated uint64 buffers of _DFS_BATCH rows, so _DFS_BATCH bounds the
+batch and every numpy temporary of a step. A group whose live tree fits in
+one batch (every group of order 15-19, and Z/20) is walked in |G|-1 steps;
+large groups start with full batches and keep the pool schedule. The walk
+runs on one thread.
 
 The histogram, containment and full-sumset scans reduce one source,
 `_sum_diff_blocks`: the (A+A, A-A) masks of every subset in mask order.
@@ -62,8 +71,8 @@ _CHUNK_BITS = 14
 #: 4.4e6/s on Z/2 x Z/2 x Z/6 (2-core x86_64, numpy 2.4).
 _SUBSETS_PER_S = 6e6
 
-#: Nodes taken from a pool per DFS step; each of a batch's four uint64
-#: arrays is then 256 KB.
+#: Most nodes a DFS batch holds, whether taken from a pool or joined during
+#: its sweep up through x; each of its four uint64 buffers is then 256 KB.
 _DFS_BATCH = 1 << 15
 
 #: The cap message's lower estimate of the DFS cost. Children evaluated per
@@ -98,6 +107,7 @@ class EnumerationResult:
     nodes: int | None = None
 
     def to_record(self) -> dict:
+        walked = self.nodes is not None
         return {
             "group": str(self.group),
             "order": self.group.order,
@@ -106,7 +116,12 @@ class EnumerationResult:
             "elapsed_s": round(self.elapsed, 3),
             "threads": self.thread_count,
             "engine": self.engine,
-            "nodes": None if self.nodes is None else str(self.nodes),
+            "nodes": str(self.nodes) if walked else None,
+            "nodes_per_s": round(self.nodes / self.elapsed, 1)
+            if walked and self.elapsed > 0
+            else None,
+            # the walk's ceiling on `nodes`, the same one the cap refusal states
+            "budget": str(_dfs_budget(self.group)) if walked else None,
         }
 
     def to_json(self) -> str:
@@ -196,7 +211,7 @@ def _check_cap(group: GroupSpec, cap: int, what: str) -> None:
         est = 2**n / _SUBSETS_PER_S
         raise EnumerationCapError(
             f"{what} over 2^{n} subsets of {group} exceeds the cap of 2^{cap} "
-            f"(estimated {est:.0f}+ core-seconds); raise cap= explicitly to force"
+            f"(estimated {est:.2g}+ core-seconds); raise cap= explicitly to force"
         )
 
 
@@ -218,7 +233,7 @@ def _check_count_cap(group: GroupSpec, cap: int) -> None:
         raise EnumerationCapError(
             f"MSTD count of {group} exceeds the cap of order {cap}: "
             f"the DFS walks up to {budget:.2e} children, |G| * upper_bound(G) "
-            f"(estimated {est:.0f}+ core-seconds); raise cap= explicitly to force"
+            f"(estimated {est:.2g}+ core-seconds); raise cap= explicitly to force"
         )
 
 
@@ -279,20 +294,19 @@ def count_mstd(
     )
 
 
-def _take(pool: list, limit: int) -> tuple:
-    """Remove up to `limit` nodes from a pool of (A, -A, A+A, A-A) chunks."""
-    import numpy as np
-
-    parts = []
-    got = 0
-    while pool and got < limit:
-        parts.append(pool.pop())
-        got += len(parts[-1][0])
-    batch = tuple(np.concatenate(col) if len(parts) > 1 else col[0] for col in zip(*parts))
-    if got > limit:
-        pool.append(tuple(col[limit:] for col in batch))
-        batch = tuple(col[:limit] for col in batch)
-    return batch
+def _fill(pool: list, bufs: tuple, m: int) -> int:
+    """Move nodes from a pool of (A, -A, A+A, A-A) chunks into the batch
+    buffers after their first m rows, while the batch holds fewer than
+    _DFS_BATCH nodes; the rest stays in the pool. Returns the new length."""
+    while pool and m < _DFS_BATCH:
+        chunk = pool.pop()
+        k = min(len(chunk[0]), _DFS_BATCH - m)
+        for buf, col in zip(bufs, chunk):
+            buf[m : m + k] = col[:k]
+        if k < len(chunk[0]):
+            pool.append(tuple(col[k:] for col in chunk))
+        m += k
+    return m
 
 
 def _count_mstd_dfs(
@@ -309,6 +323,8 @@ def _count_mstd_dfs(
     neg, full = t.neg, t.full
     one = np.ones(1, dtype=np.uint64)
     bits = [np.uint64(1 << e) for e in range(n)]
+    # the batch's (A, -A, A+A, A-A) columns are the first m rows of these
+    bufs = tuple(np.empty(_DFS_BATCH, dtype=np.uint64) for _ in range(4))
     # pools[l]: chunks of live nodes whose largest element is l; the root {0}
     pools: list[list] = [[] for _ in range(n - 1)]
     sizes = [0] * (n - 1)
@@ -325,39 +341,49 @@ def _count_mstd_dfs(
             top = next((l for l in range(n - 1) if sizes[l]), None)
             if top is None:
                 break
-        a, na, s, d = _take(pools[top], _DFS_BATCH)
-        sizes[top] -= len(a)
-        nodes += len(a) * (n - 1 - top)
+        m = _fill(pools[top], bufs, 0)
+        sizes[top] -= m
         for x in range(top + 1, n):
+            # every node of the batch has its largest element below x
+            a, na, s, d = (buf[:m] for buf in bufs)
+            nodes += m
             # A'-A' = (A-A) u (A-x) u (-A+x) u {0}, and 0 is in A-A already;
             # translate by a nonzero element returns a new array
             d2 = t.translate(a, neg[x])
             d2 |= t.translate(na, x)
             d2 |= d
             live = (d2 != full).nonzero()[0]
-            if not len(live):
-                continue
-            if len(live) < len(a):
-                a2, na2, s2, d2 = a[live], na[live], s[live], d2[live]
-            else:
-                a2, na2, s2 = a, na, s
-            a2 = a2 | bits[x]
-            # A'+A' = (A+A) u (A'+x)
-            s2 = s2 | t.translate(a2, x)
-            mstd = np.bitwise_count(s2) > np.bitwise_count(d2)
-            if mstd.any():
-                by_size += np.bincount(np.bitwise_count(a2[mstd]), minlength=n + 1)
+            if len(live):
+                if len(live) < m:
+                    a2, na2, s2, d2 = a[live], na[live], s[live], d2[live]
+                else:
+                    # views of the buffers, which later steps overwrite: the
+                    # children pushed below must be new arrays, not these
+                    a2, na2, s2 = a, na, s
+                a2 = a2 | bits[x]
+                # A'+A' = (A+A) u (A'+x)
+                s2 = s2 | t.translate(a2, x)
+                mstd = np.bitwise_count(s2) > np.bitwise_count(d2)
+                if mstd.any():
+                    by_size += np.bincount(np.bitwise_count(a2[mstd]), minlength=n + 1)
+                if x < n - 1:
+                    pools[x].append((a2, na2 | bits[neg[x]], s2, d2))
+                    sizes[x] += len(live)
             if x < n - 1:
-                pools[x].append((a2, na2 | bits[neg[x]], s2, d2))
-                sizes[x] += len(live)
-        if progress_interval and time.monotonic() - last_report >= progress_interval:
-            last_report = time.monotonic()
-            print(
-                f"walked {nodes} children of at most {budget} "
-                f"({100.0 * nodes / budget:.2f}%)",
-                file=sys.stderr,
-                flush=True,
-            )
+                # the children of x (on top of the pool), then the nodes that
+                # already waited there, join the batch while it has room; all
+                # have largest element x
+                grown = _fill(pools[x], bufs, m)
+                sizes[x] -= grown - m
+                m = grown
+            if progress_interval and time.monotonic() - last_report >= progress_interval:
+                last_report = time.monotonic()
+                print(
+                    f"walked {nodes} children of at most {budget} "
+                    f"({100.0 * nodes / budget:.2f}%)",
+                    file=sys.stderr,
+                    flush=True,
+                )
     total = 0
     for k, c in enumerate(by_size.tolist()):
         # the c MSTD sets of size k that contain 0 stand for n*c/k sets

@@ -16,6 +16,7 @@ across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -122,7 +123,8 @@ class GroupSpec:
         return m
 
     def _check(self, x: int) -> None:
-        if not 0 <= x < self.order:
+        # operator.index refuses a float (TypeError) that would pass the range test
+        if not 0 <= operator.index(x) < self.order:
             raise ValueError(f"element index {x} out of range for group {self}")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -49,11 +50,14 @@ def test_count_engine_fields(capsys):
     (rec,) = parse_records(out)
     assert (rec["engine"], rec["threads"], rec["nodes"], rec["mstd_count"]) == (
         "scan-numpy", 1, None, "28")
+    assert (rec["nodes_per_s"], rec["budget"]) == (None, None)
     code, out, _ = run_cli(capsys, "count", "-g", "15", "--threads", "2")
     assert code == 0
     (rec,) = parse_records(out)
     assert (rec["engine"], rec["threads"], rec["mstd_count"]) == ("dfs-numpy", 1, "60")
-    assert int(rec["nodes"]) > 0
+    assert 0 < int(rec["nodes"]) <= int(rec["budget"])
+    assert rec["budget"] == str(enumerate_subsets._dfs_budget(GroupSpec((15,))))
+    assert rec["nodes_per_s"] > 0
 
 
 def test_count_cap_refusal(capsys):
@@ -61,6 +65,11 @@ def test_count_cap_refusal(capsys):
     assert code == 2
     assert out == ""
     assert "cap" in err
+    # an estimate under half a second still shows its significant digits
+    code, out, err = run_cli(capsys, "count", "-g", "29")
+    assert code == 2 and out == ""
+    est = re.search(r"\(estimated (\S+)\+ core-seconds\)", err)
+    assert est and float(est.group(1)) > 0, err
 
 
 def test_import_loads_no_numpy():

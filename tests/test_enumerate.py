@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mstd import enumerate_subsets
 from mstd.enumerate_subsets import (
     _CHUNK_BITS,
     EnumerationCapError,
@@ -56,6 +57,11 @@ FROZEN_COUNTS = {
     (28,): 922348,
 }
 
+# Children the walk evaluates, pruned ones included: a property of the tree,
+# so no batch size or pool schedule may change it.
+FROZEN_DFS_NODES = {(20,): 72948, (10, 2): 102378, (28,): 6256165}
+
+
 # |{A : d not in A-A, A+A = G}| for the listed d, and 0 for every other d in
 # half_set(G); the package scan and a subsets.sumset/diffset pass over every
 # mask agree on all of them. Orders 12 and 14 reduce the memoised block,
@@ -76,7 +82,9 @@ def test_count_mstd_trivial_groups():
 def test_count_mstd_frozen_values():
     for factors, expected in FROZEN_COUNTS.items():
         g = GroupSpec(factors)
-        assert _count_mstd_dfs(g)[0] == expected, factors
+        count, nodes = _count_mstd_dfs(g)
+        assert count == expected, factors
+        assert nodes == FROZEN_DFS_NODES.get(factors, nodes), factors
         for threads in (1, 2):
             assert count_mstd(g, threads=threads).mstd_count == expected
 
@@ -88,6 +96,18 @@ def test_dfs_matches_block_scan():
         count, nodes = _count_mstd_dfs(g)
         assert count == missing_histogram(g).mstd_count(), g
         assert nodes <= _dfs_budget(g), g
+
+
+def test_dfs_batch_size_does_not_change_results(monkeypatch):
+    # at the default batch every group here but Z/10 x Z/2 is walked as one
+    # batch; small batches overflow into the pools at almost every step
+    groups = [*groups_up_to(14, min_order=2), GroupSpec((20,)), GroupSpec((10, 2))]
+    expected = {g: _count_mstd_dfs(g) for g in groups}
+    for batch in (1, 3, 7, 64):
+        monkeypatch.setattr(enumerate_subsets, "_DFS_BATCH", batch)
+        for g in groups:
+            if batch > 1 or g.order <= 12:
+                assert _count_mstd_dfs(g) == expected[g], (batch, g)
 
 
 def test_count_matches_naive_oracle():

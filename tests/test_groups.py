@@ -63,6 +63,27 @@ def test_arithmetic_matches_tuple_oracle():
             assert g.digits(g.neg(x)) == t.neg(g.digits(x))
 
 
+def test_element_index_must_be_an_integer():
+    # a float equal to an index would pass a range test and come back as a float
+    from mstd.forbiddance import build_graph
+
+    g = GroupSpec((8,))
+    for call in (
+        lambda: g.add(1.5, 2),
+        lambda: g.add(1, 2.0),
+        lambda: g.neg(1.0),
+        lambda: g.digits(3.0),
+        lambda: build_graph(g, (1.0,)),
+        lambda: build_graph(g, (), (2.0,)),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError, match="out of range"):
+        g.add(8, 1)
+    # integer types other than int still index
+    assert g.add(True, 2) == 3
+
+
 def test_element_order_examples():
     assert element_order(GroupSpec((12,)), 8) == 3
     assert element_order(GroupSpec((12,)), 0) == 1
