@@ -3,13 +3,7 @@ count's DFS.
 
 A scan hands a block of consecutive subset masks [lo, hi) to numpy as one
 uint64 array and reduces it to plain integers (or a histogram), so block
-results combine by addition and every parallel schedule produces identical
-totals. numpy ufuncs release the GIL only while each one runs, so threads
-help some scans and slow others. Measured on 2 cores (x86_64, numpy 2.4),
-threads=2 against threads=1: `count_avoiding` on Z/24 with d = 1 went from
-0.19 s to 0.08-0.09 s, and `missing_histogram` on Z/24 went from 2.7-3.5 s
-to 2.9-3.6 s, slower in 5 of 6 interleaved pairs. No scan that `count_mstd`
-runs uses threads.
+results combine by exact addition.
 
 Group translation comes from the group's translation plan in `subsets`
 (`subsets.translation_plan`), the one the Python-int sumset and diffset

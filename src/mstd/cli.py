@@ -31,13 +31,8 @@ from .verify import DEFAULT_SEED, CHECKS, run_checks
 _FAMILIES = ("cyclic", "cyclic-even", "cyclic-odd", "zn-x-z2", "all")
 
 
-#: --threads help where only the MSTD count runs; the flag is validated
-#: there and kept for scripts that pass it.
-_COUNT_THREADS_HELP = "accepted and checked to be >= 1; the MSTD count runs on one thread"
-
-
 def _threads(raw: str) -> int:
-    """argparse type of every --threads flag: an integer of at least 1."""
+    """argparse type of table's --threads: an integer of at least 1."""
     try:
         value = int(raw)
     except ValueError:
@@ -112,12 +107,7 @@ def _parse_elements(raw: Optional[str]) -> tuple[int, ...]:
 
 def cmd_count(args: argparse.Namespace) -> int:
     group = GroupSpec.from_string(args.group)
-    result = enum.count_mstd(
-        group,
-        threads=args.threads,
-        cap=args.cap,
-        progress_interval=args.progress,
-    )
+    result = enum.count_mstd(group, cap=args.cap, progress_interval=args.progress)
     _emit([result.to_record()], args.format)
     return 0
 
@@ -126,7 +116,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     group = GroupSpec.from_string(args.group)
     exact = None
     if args.exact:
-        exact = enum.count_mstd(group, threads=args.threads).mstd_count
+        exact = enum.count_mstd(group).mstd_count
     report = build_report(group, precision_bits=args.precision_bits, exact=exact)
     _emit([report.to_record()], args.format)
     return 0
@@ -157,7 +147,7 @@ def cmd_forbid(args: argparse.Namespace) -> int:
             record["prisms"] = n_p
             record["ladders"] = n_l
     if args.oracle:
-        oracle = enum.count_avoiding(group, diffs, sums, threads=args.threads)
+        oracle = enum.count_avoiding(group, diffs, sums)
         record["oracle"] = str(oracle)
         record["oracle_match"] = oracle == index
     if args.edges:
@@ -174,12 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name in CHECKS:
             print(name)
         return 0
-    results = run_checks(
-        only=only,
-        max_order=args.max_order,
-        threads=args.threads,
-        seed=args.seed,
-    )
+    results = run_checks(only=only, max_order=args.max_order, seed=args.seed)
     if args.format == "text":
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
@@ -207,7 +192,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for group in _family_groups(args.family, args.min, args.max):
         exact = None
         if group.order <= args.max_order:
-            exact = enum.count_mstd(group, threads=args.threads).mstd_count
+            exact = enum.count_mstd(group).mstd_count
         report = build_report(
             group, precision_bits=args.precision_bits, exact=exact
         )
@@ -245,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=enum.COUNT_CAP,
         help=f"largest group order to count (default {enum.COUNT_CAP})",
     )
-    p_count.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
     _add_format(p_count)
     p_count.add_argument(
         "--progress",
@@ -268,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the exact count and attach it",
     )
-    p_bound.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
     _add_format(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -285,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_forbid.add_argument(
         "--edges", action="store_true", help="dump the edge list to stderr"
-    )
-    p_forbid.add_argument(
-        "--threads", type=_threads, help="worker threads for the --oracle scan (default: all cores)"
     )
     _add_format(p_forbid)
     p_forbid.set_defaults(func=cmd_forbid)
@@ -310,12 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--list-checks", action="store_true", help="list check names and exit"
     )
-    p_verify.add_argument(
-        "--threads",
-        type=_threads,
-        default=1,
-        help="worker threads for the subset scans (default 1)",
-    )
     _add_format(p_verify, default="text")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -336,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_precision_bits,
         help="working precision of the asymptotic term, >= 64 (default max(2|G|, 64))",
     )
-    p_table.add_argument("--threads", type=_threads, help=_COUNT_THREADS_HELP)
+    # perfbench/workloads.py passes --threads; it is checked and otherwise unread
+    p_table.add_argument(
+        "--threads", type=_threads, help="accepted and checked to be >= 1; counts run on one thread"
+    )
     _add_format(p_table)
     p_table.set_defaults(func=cmd_table)
 

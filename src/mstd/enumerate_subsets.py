@@ -28,11 +28,9 @@ presentations); `count_mstd`'s scan branch (engine `scan-numpy`, faster
 than the walk there) and `count_avoiding` read it too. Above order 14 the
 source computes chunks of [0, 2^|G|) whose boundaries depend only on the
 group order, while `count_avoiding` meets |D| + |S| translates per chunk,
-which costs less than building both masks. Per-chunk integers are added
-in chunk order, exactly, so every thread count gives bit-identical
-results; threads do not always pay, since numpy releases the GIL only
-inside each ufunc (numbers in `_kernels`). `missing_histogram(g).mstd_count()`
-is the oracle the DFS is tested against.
+which costs less than building both masks. Chunks run one after another
+on one thread, and their integers are added exactly.
+`missing_histogram(g).mstd_count()` is the oracle the DFS is tested against.
 
 Counts refuse orders past a hard cap instead of silently running for hours;
 the cap is configurable per call. Orders past the 63-bit mask width are
@@ -41,12 +39,9 @@ refused whatever the cap.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -93,9 +88,9 @@ class EnumerationResult:
     """Outcome of one exact MSTD count.
 
     `engine` is "dfs-numpy" or "scan-numpy"; `thread_count` is the number of
-    threads that ran, 1 for both engines whatever was asked; `nodes` is the
-    number of DFS children evaluated, None for the scan. `elapsed` excludes
-    the numpy import and the table build.
+    threads that ran, 1 for both engines; `nodes` is the number of DFS
+    children evaluated, None for the scan. `elapsed` excludes the numpy
+    import and the table build.
     """
 
     group: GroupSpec
@@ -172,27 +167,13 @@ def _block_sum_diff(group: GroupSpec) -> tuple:
     return summ, diff
 
 
-def _run_chunked(fn: Callable, total: int, threads: int):
-    """Apply fn(lo, hi) to every chunk and yield the results in chunk order.
-
-    Ranges are made as they are needed, and the threaded path keeps at most
-    2 * threads chunks in flight, so the cost before the first result does
-    not grow with `total`.
-    """
+def _run_chunked(fn: Callable, total: int) -> Iterator:
+    """Apply fn(lo, hi) to every chunk of [0, total) and yield the results in
+    chunk order. A chunk runs when the generator is advanced to it, so the
+    cost before the first result does not grow with `total`."""
     size = 1 << _CHUNK_BITS
-    ranges = ((lo, min(lo + size, total)) for lo in range(0, total, size))
-    if threads <= 1:
-        for lo, hi in ranges:
-            yield fn(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # a chunk is submitted when this generator is advanced past it
-        submitted = (pool.submit(fn, lo, hi) for lo, hi in ranges)
-        pending = deque(itertools.islice(submitted, 2 * threads))
-        while pending:
-            fut = pending.popleft()
-            pending.extend(itertools.islice(submitted, 1))
-            yield fut.result()
+    for lo in range(0, total, size):
+        yield fn(lo, min(lo + size, total))
 
 
 def _check_width(group: GroupSpec, what: str) -> None:
@@ -237,26 +218,15 @@ def _check_count_cap(group: GroupSpec, cap: int) -> None:
         )
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        import os
-
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
-
-
-def _sum_diff_blocks(group: GroupSpec, threads: int | None, cap: int, what: str) -> Iterator:
+def _sum_diff_blocks(group: GroupSpec, cap: int, what: str) -> Iterator:
     """(A+A, A-A) uint64 blocks of every subset, in mask order: the memo up
-    to order 14, chunks above. The cap and thread checks run before this
-    returns, so a refused scan builds no table. Callers only read blocks."""
+    to order 14, chunks above. The cap check runs before this returns, so a
+    refused scan builds no table. Callers only read blocks."""
     _check_cap(group, cap, what)
-    threads = _resolve_threads(threads)
     if group.order <= _CHUNK_BITS:
         return iter((_block_sum_diff(group),))
     t = _tables(group)
-    return _run_chunked(lambda lo, hi: t.sum_diff(t.masks(lo, hi)), 1 << group.order, threads)
+    return _run_chunked(lambda lo, hi: t.sum_diff(t.masks(lo, hi)), 1 << group.order)
 
 
 def count_mstd(
@@ -266,11 +236,13 @@ def count_mstd(
     progress_interval: float | None = None,
 ) -> EnumerationResult:
     """Exact number of MSTD subsets of the group: one scan block up to order
-    14, the DFS above it. Both run on one thread; `threads` is validated
-    only. `elapsed` excludes the one-off numpy import and the table build.
-    `progress_interval` reports the DFS's progress on stderr."""
+    14, the DFS above it, both on one thread. `elapsed` excludes the one-off
+    numpy import and the table build. `progress_interval` reports the DFS's
+    progress on stderr."""
+    # perfbench/freeze.py passes threads=; it is checked and otherwise unread
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     _check_count_cap(group, cap)
-    _resolve_threads(threads)
     n = group.order
     _tables(group)  # built before the clock starts
     start = time.perf_counter()
@@ -397,7 +369,6 @@ def count_avoiding(
     group: GroupSpec,
     diffs: Iterable[int] = (),
     sums: Iterable[int] = (),
-    threads: int | None = 1,
     cap: int = COUNT_CAP,
 ) -> int:
     """Exact number of subsets A with (A-A) disjoint from +-diffs and
@@ -406,7 +377,6 @@ def count_avoiding(
     import numpy as np
 
     _check_cap(group, cap, "avoidance count")
-    threads = _resolve_threads(threads)
     # the plan's negation table checks each index on its first lookup
     neg = translation_plan(group).neg
     dred = sorted({min(d, neg[d]) for d in diffs})  # forbidding d forbids -d
@@ -431,13 +401,12 @@ def count_avoiding(
                 hit |= masks & t.translate(neg, s)
         return int(np.count_nonzero(hit == 0))
 
-    return sum(_run_chunked(block, 1 << group.order, threads))
+    return sum(_run_chunked(block, 1 << group.order))
 
 
 def count_full_sumset_avoiding(
     group: GroupSpec,
     d: int,
-    threads: int | None = 1,
     cap: int = COUNT_CAP,
 ) -> int:
     """Exact |{A : d not in A-A, A+A = G}| by exhaustive scan (d nonzero)."""
@@ -448,7 +417,7 @@ def count_full_sumset_avoiding(
             "d = 0 is degenerate: no nonempty subset omits 0 from A-A"
         )
     group._check(d)
-    blocks = _sum_diff_blocks(group, threads, cap, "full-sumset avoidance count")
+    blocks = _sum_diff_blocks(group, cap, "full-sumset avoidance count")
     full, dbit = _tables(group).full, np.uint64(1 << d)
     return sum(
         int(np.count_nonzero(((diff & dbit) == 0) & (summ == full)))
@@ -458,7 +427,6 @@ def count_full_sumset_avoiding(
 
 def missing_histogram(
     group: GroupSpec,
-    threads: int | None = 1,
     cap: int = HISTOGRAM_CAP,
 ) -> MissingHistogram:
     """Joint histogram over (missing sums, missing differences)."""
@@ -466,7 +434,7 @@ def missing_histogram(
 
     n = group.order
     acc = np.zeros((n + 1) ** 2, dtype=np.int64)
-    for summ, diff in _sum_diff_blocks(group, threads, cap, "missing-sums histogram"):
+    for summ, diff in _sum_diff_blocks(group, cap, "missing-sums histogram"):
         missing_s = n - np.bitwise_count(summ).astype(np.intp)
         missing_d = n - np.bitwise_count(diff).astype(np.intp)
         acc += np.bincount(missing_s * (n + 1) + missing_d, minlength=(n + 1) ** 2)
@@ -476,7 +444,6 @@ def missing_histogram(
 
 def containment_violations(
     group: GroupSpec,
-    threads: int | None = 1,
     cap: int = COUNT_CAP,
 ) -> tuple[int, int]:
     """Exhaustive check of the sandwich between {A+A=G, A-A!=G} and A-A != G.
@@ -487,7 +454,7 @@ def containment_violations(
     """
     import numpy as np
 
-    blocks = _sum_diff_blocks(group, threads, cap, "containment scan")
+    blocks = _sum_diff_blocks(group, cap, "containment scan")
     full = _tables(group).full
     left = right = 0
     for summ, diff in blocks:

@@ -10,8 +10,7 @@ with digit e_i in [0, a_i). The factor list is kept exactly as given (no
 normal-form reduction), so "12,2" and "2,12" are distinct presentations of
 isomorphic groups and index their elements differently.
 
-All operations are pure functions of immutable values and safe to share
-across threads.
+All operations are pure functions of immutable values.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ class GroupSpec:
     factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        factors = tuple(int(a) for a in self.factors)
+        # operator.index refuses 7.9 and "12" (TypeError) instead of truncating
+        factors = tuple(operator.index(a) for a in self.factors)
         object.__setattr__(self, "factors", factors)
         for a in factors:
             if a < 2:

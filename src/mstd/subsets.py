@@ -46,6 +46,8 @@ class SubsetMask:
     bits: int
 
     def __post_init__(self) -> None:
+        # a float mask such as 1.5 is refused here, not by sumset's `&` later
+        object.__setattr__(self, "bits", operator.index(self.bits))
         if not 0 <= self.bits < (1 << self.group.order):
             raise ValueError(
                 f"mask {self.bits:#x} out of range for group of order {self.group.order}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -74,7 +73,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class SweepConfig:
     max_order: Optional[int] = None
-    threads: int = 1
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
@@ -154,7 +152,7 @@ def check_bijection(cfg: SweepConfig) -> CaseLoop:
         sum_choices = [()] + [(s,) for s in range(n)]
         for diffs in diff_choices:
             for sums in sum_choices:
-                direct = enum.count_avoiding(g, diffs, sums, threads=cfg.threads)
+                direct = enum.count_avoiding(g, diffs, sums)
                 via_graph = fib_index_exact(build_graph(g, diffs, sums))
                 if direct != via_graph:
                     yield f"{g} D={diffs} S={sums}: scan {direct} != graph {via_graph}"
@@ -175,7 +173,7 @@ def check_single_difference(cfg: SweepConfig) -> CaseLoop:
             m = g.element_order(d)
             if n <= count_limit:
                 expected = lucas(m) ** (n // m)
-                got = enum.count_avoiding(g, (d,), (), threads=cfg.threads)
+                got = enum.count_avoiding(g, (d,), ())
                 if got != expected:
                     yield f"{g} d={d}: {got} != {expected}"
                     continue
@@ -199,7 +197,7 @@ def check_two_torsion_pairs(cfg: SweepConfig) -> CaseLoop:
         n = g.order
         twos = [d for d in range(1, n) if g.element_order(d) == 2]
         for d1, d2 in itertools.combinations(twos, 2):
-            got = enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
+            got = enum.count_avoiding(g, (d1, d2), ())
             if got != 7 ** (n // 4):
                 yield f"{g} d1={d1} d2={d2}: {got} != 7^{n // 4}"
                 continue
@@ -349,7 +347,7 @@ def check_containment(cfg: SweepConfig) -> CaseLoop:
     easy MSTD certificates; MSTD forces a deficient difference set."""
     limit = cfg.cap(16)
     for g in _nontrivial_groups(limit):
-        left, right = enum.containment_violations(g, threads=cfg.threads)
+        left, right = enum.containment_violations(g)
         yield f"{g}: violations ({left}, {right})" if left or right else None
     return f"{CASES} groups pass the two-sided containment scan"
 
@@ -361,7 +359,7 @@ def check_union_upper(cfg: SweepConfig) -> CaseLoop:
     for g in _nontrivial_groups(limit):
         count = enum.count_mstd(g).mstd_count
         rhs = sum(
-            enum.count_avoiding(g, (d,), (), threads=cfg.threads)
+            enum.count_avoiding(g, (d,), ())
             for d in half_set(g)
         )
         yield f"{g}: {count} > {rhs}" if count > rhs else None
@@ -378,14 +376,14 @@ def check_union_lower(cfg: SweepConfig) -> CaseLoop:
         hs = sorted(half_set(g))
         total = 0
         for d in hs:
-            term = enum.count_avoiding(g, (d,), (), threads=cfg.threads)
+            term = enum.count_avoiding(g, (d,), ())
             term -= sum(
-                enum.count_avoiding(g, (d,), (s,), threads=cfg.threads)
+                enum.count_avoiding(g, (d,), (s,))
                 for s in range(n)
             )
             total += term
         for d1, d2 in itertools.combinations(hs, 2):
-            total -= enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
+            total -= enum.count_avoiding(g, (d1, d2), ())
         yield f"{g}: assembled bound {total} > count {count}" if total > count else None
     return f"{CASES} groups satisfy the assembled lower bound"
 
@@ -399,15 +397,15 @@ def check_even_caps(cfg: SweepConfig) -> CaseLoop:
         k = order_two_count(g)
         for d in range(1, n):
             if g.element_order(d) > 2:
-                c = enum.count_avoiding(g, (d,), (), threads=cfg.threads)
+                c = enum.count_avoiding(g, (d,), ())
                 yield f"{g} d={d}: single-difference cap broken" if c**4 > 7**n else None
                 continue
             for s in range(n):
-                c = enum.count_avoiding(g, (d,), (s,), threads=cfg.threads)
+                c = enum.count_avoiding(g, (d,), (s,))
                 broken = c**4 > 3 ** (2 * (k + 1)) * 7**n
                 yield f"{g} d={d} s={s}: order-2 cap broken" if broken else None
         for d1, d2 in itertools.combinations(range(1, n), 2):
-            c = enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
+            c = enum.count_avoiding(g, (d1, d2), ())
             yield f"{g} d1={d1} d2={d2}: pair cap broken" if c**4 > 7**n else None
     return f"{CASES} termwise caps hold for even |G| <= {limit}"
 
@@ -421,12 +419,12 @@ def check_odd_caps(cfg: SweepConfig) -> CaseLoop:
         n = g.order
         for d in range(1, n):
             for s in range(n):
-                c = enum.count_avoiding(g, (d,), (s,), threads=cfg.threads)
+                c = enum.count_avoiding(g, (d,), (s,))
                 yield f"{g} d={d} s={s}: 15-cap broken" if c**6 >= 15**n else None
         for d1, d2 in itertools.combinations(range(1, n), 2):
             if d1 == g.neg(d2):
                 continue
-            c = enum.count_avoiding(g, (d1, d2), (), threads=cfg.threads)
+            c = enum.count_avoiding(g, (d1, d2), ())
             yield f"{g} d1={d1} d2={d2}: 31-cap broken" if c**8 > 31**n else None
     return f"{CASES} termwise caps hold for odd |G| <= {limit}"
 
@@ -587,7 +585,7 @@ def check_histogram(cfg: SweepConfig) -> CaseLoop:
     direct count."""
     limit = cfg.cap(10)
     for g in groups_up_to(limit, min_order=1):
-        hist = enum.missing_histogram(g, threads=cfg.threads)
+        hist = enum.missing_histogram(g)
         if hist.total() != 1 << g.order:
             yield f"{g}: histogram total wrong"
             continue
@@ -645,7 +643,7 @@ def check_z8_example(cfg: SweepConfig) -> CaseLoop:
     """The order-8 cyclic worked example: graph route and brute force agree at 17."""
     g = GroupSpec((8,))
     via_graph = fib_index_exact(build_graph(g, (1,), (4,)))
-    via_scan = enum.count_avoiding(g, (1,), (4,), threads=cfg.threads)
+    via_scan = enum.count_avoiding(g, (1,), (4,))
     detail = f"graph {via_graph}, scan {via_scan}, expected 17"
     yield None if via_graph == via_scan == 17 else detail
     return detail
@@ -653,21 +651,22 @@ def check_z8_example(cfg: SweepConfig) -> CaseLoop:
 
 @_check("determinism")
 def check_determinism(cfg: SweepConfig) -> CaseLoop:
-    """Scans are bit-identical across thread counts on groups of 2-4 scan
-    blocks: the full histogram and the single-difference avoidance counts."""
+    """The chunked scans match a second engine on groups of 2-4 scan blocks:
+    the histogram's MSTD count matches the DFS, and each single-difference
+    avoidance count matches the forbiddance graph's index."""
     fixed = [GroupSpec(f) for f in [(15,), (3, 5), (16,), (2, 8), (4, 4), (2, 2, 4)]]
-    max_threads = max(os.cpu_count() or 1, 4)
     for g in fixed:
-        results = {
-            (
-                enum.missing_histogram(g, threads=t).counts,
-                tuple(enum.count_avoiding(g, (d,), (), threads=t) for d in sorted(half_set(g))),
-            )
-            for t in (1, 2, max_threads)
-        }
-        same = len(results) == 1
-        yield None if same else f"{g}: histogram or avoidance counts differ across threads"
-    return f"{CASES} groups identical across thread counts (1, 2, {max_threads})"
+        failed = []
+        scan, walk = enum.missing_histogram(g).mstd_count(), enum.count_mstd(g).mstd_count
+        if scan != walk:
+            failed.append(f"{g}: histogram MSTD {scan} != DFS {walk}")
+        for d in sorted(half_set(g)):
+            direct = enum.count_avoiding(g, (d,))
+            via_graph = fib_index_exact(build_graph(g, (d,)))
+            if direct != via_graph:
+                failed.append(f"{g} d={d}: scan {direct} != graph {via_graph}")
+        yield failed
+    return f"{CASES} multi-block groups: histogram matches the DFS, avoidance counts the graphs"
 
 
 @_check("multiplicativity")
@@ -700,10 +699,14 @@ def run_checks(
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Run the selected checks (all by default) and return their results.
-    Every name and max_order are checked before any check runs."""
+    Every name, max_order and threads are checked before any check runs;
+    the checks run on one thread."""
+    # perfbench/workloads.py passes threads=; it is checked and otherwise unread
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     names = list(CHECKS) if only is None else list(only)
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    cfg = SweepConfig(max_order=max_order, threads=threads, seed=seed)
+    cfg = SweepConfig(max_order=max_order, seed=seed)
     return [CHECKS[name](cfg) for name in names]

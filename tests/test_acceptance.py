@@ -6,15 +6,11 @@ here is tolerance-based except where a criterion names a precision, and the
 equalities are exact.
 """
 
-import os
-
 from mstd.verify import CHECKS, SweepConfig
-
-_THREADS = os.cpu_count() or 1
 
 
 def _run(number: int, check_name: str, max_order=None) -> None:
-    cfg = SweepConfig(max_order=max_order, threads=_THREADS)
+    cfg = SweepConfig(max_order=max_order)
     result = CHECKS[check_name](cfg)
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number:02d} [{check_name}] {status}: {result.detail}", flush=True)

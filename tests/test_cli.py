@@ -33,25 +33,14 @@ def test_count_json(capsys):
     assert rec["total_subsets"] == "256"
 
 
-def test_count_threads_deterministic(capsys):
-    code, out1, _ = run_cli(capsys, "count", "-g", "12,2", "--threads", "1")
-    assert code == 0
-    code, out4, _ = run_cli(capsys, "count", "-g", "12,2", "--threads", "4")
-    assert code == 0
-    (r1,), (r4,) = parse_records(out1), parse_records(out4)
-    assert r1["mstd_count"] == r4["mstd_count"]
-    # both engines run on one thread whatever was asked
-    assert r1["threads"] == 1 and r4["threads"] == 1
-
-
 def test_count_engine_fields(capsys):
-    code, out, _ = run_cli(capsys, "count", "-g", "14", "--threads", "2")
+    code, out, _ = run_cli(capsys, "count", "-g", "14")
     assert code == 0
     (rec,) = parse_records(out)
     assert (rec["engine"], rec["threads"], rec["nodes"], rec["mstd_count"]) == (
         "scan-numpy", 1, None, "28")
     assert (rec["nodes_per_s"], rec["budget"]) == (None, None)
-    code, out, _ = run_cli(capsys, "count", "-g", "15", "--threads", "2")
+    code, out, _ = run_cli(capsys, "count", "-g", "15")
     assert code == 0
     (rec,) = parse_records(out)
     assert (rec["engine"], rec["threads"], rec["mstd_count"]) == ("dfs-numpy", 1, "60")
@@ -97,19 +86,50 @@ def test_count_parse_failure(capsys):
 
 
 def test_threads_below_one_refused(capsys):
-    # every subcommand refuses --threads 0 at parse time, whether or not the
-    # value is read later
+    # table, the one subcommand that still takes --threads, refuses 0 at
+    # parse time
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--max", "4", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_threads_flag_gone_from_scan_subcommands(capsys):
+    # count, bound, forbid and verify run their scans on one thread and
+    # have no --threads flag
     for argv in (
-        ["verify", "--only", "conway", "--threads", "0"],
-        ["bound", "-g", "8", "--threads", "0"],
-        ["count", "-g", "8", "--threads", "0"],
-        ["forbid", "-g", "8", "-d", "1", "--threads", "-1"],
-        ["table", "--max", "4", "--threads", "0"],
+        ["verify", "--only", "conway", "--threads", "1"],
+        ["bound", "-g", "8", "--threads", "1"],
+        ["count", "-g", "8", "--threads", "1"],
+        ["forbid", "-g", "8", "-d", "1", "--threads", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert "--threads" in capsys.readouterr().err, argv
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err, argv
+
+
+def test_benchmark_entry_points_keep_threads(capsys):
+    # perfbench/workloads.py and perfbench/freeze.py pass threads to these
+    # three; each accepts a count of at least 1, changes no output, and
+    # refuses 0
+    argv = ["table", "--family", "all", "--min", "2", "--max", "8"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, threaded, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0
+    assert threaded == plain
+    only = ["conway", "z8-example"]
+    assert verify.run_checks(only=only, max_order=4, threads=1, seed=1) == verify.run_checks(
+        only=only, max_order=4, seed=1
+    )
+    with pytest.raises(ValueError, match="threads"):
+        verify.run_checks(only=only, max_order=4, threads=0, seed=1)
+    g = GroupSpec((16,))
+    res = enumerate_subsets.count_mstd(g, threads=2)
+    assert (res.mstd_count, res.thread_count) == (384, 1)
+    with pytest.raises(ValueError, match="threads"):
+        enumerate_subsets.count_mstd(g, threads=0)
 
 
 def test_progress_at_most_zero_refused(capsys):

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -85,8 +88,7 @@ def test_count_mstd_frozen_values():
         count, nodes = _count_mstd_dfs(g)
         assert count == expected, factors
         assert nodes == FROZEN_DFS_NODES.get(factors, nodes), factors
-        for threads in (1, 2):
-            assert count_mstd(g, threads=threads).mstd_count == expected
+        assert count_mstd(g).mstd_count == expected
 
 
 def test_dfs_matches_block_scan():
@@ -116,18 +118,17 @@ def test_count_matches_naive_oracle():
 
 
 def test_result_record():
-    res = count_mstd(Z8, threads=2)
+    res = count_mstd(Z8)
     assert res.total_subsets == 256
     assert res.thread_count == 1
     rec = json.loads(res.to_json())
     assert rec["group"] == "8"
     assert rec["mstd_count"] == "0"
+    assert rec["threads"] == 1
     # one scan block up to its order, the walk above; both run on one thread
     for order, engine in ((_CHUNK_BITS, "scan-numpy"), (_CHUNK_BITS + 1, "dfs-numpy")):
-        res = count_mstd(GroupSpec((order,)), threads=2)
+        res = count_mstd(GroupSpec((order,)))
         assert (res.engine, res.thread_count) == (engine, 1)
-    with pytest.raises(ValueError, match="threads"):
-        count_mstd(Z8, threads=0)
 
 
 def test_cap_refusal():
@@ -225,7 +226,7 @@ def test_count_avoiding_matches_graph_route():
     for factors, diffs, sums in cases:
         g = GroupSpec(factors)
         want = fib_index_exact(build_graph(g, diffs, sums))
-        assert count_avoiding(g, diffs, sums, threads=2) == want, (factors, diffs, sums)
+        assert count_avoiding(g, diffs, sums) == want, (factors, diffs, sums)
 
 
 def test_count_avoiding_degenerate_zero_difference():
@@ -297,27 +298,36 @@ def test_union_upper_bound_small():
         assert count_mstd(g).mstd_count <= total
 
 
-def test_thread_count_independence():
-    # two and four scan blocks, so the threaded path runs
-    for factors in [(15,), (2, 8)]:
-        g = GroupSpec(factors)
-        results = {
-            (
-                missing_histogram(g, threads=t).counts,
-                tuple(count_avoiding(g, (d,), threads=t) for d in sorted(half_set(g))),
-            )
-            for t in (1, 2, 7)
-        }
-        assert len(results) == 1, factors
-
-
 def test_run_chunked_is_lazy():
-    # 2^26 chunks: building them all, or a future per chunk, would not return
+    # 2^26 chunks: building them all would not return
     chunk = 1 << _CHUNK_BITS
-    for threads in (1, 2):
-        start = time.perf_counter()
-        results = _run_chunked(lambda lo, hi: (lo, hi), 1 << 40, threads)
-        first = list(itertools.islice(results, 8))
-        results.close()
-        assert time.perf_counter() - start < 5
-        assert first == [(i * chunk, (i + 1) * chunk) for i in range(8)]
+    start = time.perf_counter()
+    results = _run_chunked(lambda lo, hi: (lo, hi), 1 << 40)
+    first = list(itertools.islice(results, 8))
+    results.close()
+    assert time.perf_counter() - start < 5
+    assert first == [(i * chunk, (i + 1) * chunk) for i in range(8)]
+    # the last chunk stops at the total
+    assert list(_run_chunked(lambda lo, hi: (lo, hi), chunk + 3))[-1] == (chunk, chunk + 3)
+
+
+def test_scans_start_no_thread_pool():
+    # multi-block scans run chunk after chunk in the calling thread, so
+    # nothing imports the executor machinery
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, mstd\n"
+        "from mstd.enumerate_subsets import count_avoiding, missing_histogram\n"
+        "from mstd.groups import GroupSpec\n"
+        "assert missing_histogram(GroupSpec((15,))).mstd_count() == 60\n"
+        "assert count_avoiding(GroupSpec((16,)), (1,)) == 2207\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"

@@ -1,3 +1,4 @@
+import numpy
 import pytest
 
 from mstd.groups import (
@@ -26,6 +27,16 @@ def test_parse_rejects_garbage():
         GroupSpec((1, 2))
     with pytest.raises(ValueError):
         GroupSpec((0,))
+
+
+def test_factors_must_be_integers():
+    # int() would turn 7.9 into Z/7 and accept the string "12"
+    for factors in ((7.9,), ("12",), (4, 2.0)):
+        with pytest.raises(TypeError):
+            GroupSpec(factors)
+    # integer types other than int are stored as int
+    g = GroupSpec((numpy.int64(4), numpy.uint8(2)))
+    assert g.factors == (4, 2) and all(type(a) is int for a in g.factors)
 
 
 def test_presentation_preserved():

@@ -43,6 +43,16 @@ def test_mask_basics():
         mask_of(Z8, [8])
 
 
+def test_mask_bits_must_be_an_integer():
+    # 1.5 passes the range test and used to fail only inside sumset's `&`
+    for bits in (1.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            SubsetMask(Z8, bits)
+    # integer types other than int are stored as int
+    a = SubsetMask(Z8, True)
+    assert type(a.bits) is int and a.elements() == (0,)
+
+
 def test_sumset_examples():
     assert sumset(mask_of(Z5, [0, 1])).elements() == (0, 1, 2)
     assert sumset(SubsetMask.empty(Z5)).elements() == ()

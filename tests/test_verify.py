@@ -45,8 +45,8 @@ NAMES = [
     "multiplicativity",
 ]
 
-#: Every check's PASS detail at max_order 6 but `determinism`'s, which
-#: names max(cpu_count, 4).
+#: Every check's PASS detail at max_order 6; `determinism` sweeps its six
+#: fixed groups of order 15-16 at every max_order.
 DETAILS_AT_6 = {
     "bijection": "558 forbidden families across |G| <= 6 agree",
     "single-difference": "23 (group, difference) pairs: Lucas counts to |G| <= 6, "
@@ -74,6 +74,7 @@ DETAILS_AT_6 = {
     "lift": "12: k0=2; 2,8: k0=4",
     "conway": "classic 8-element set gives (True, 26, 25)",
     "z8-example": "graph 17, scan 17, expected 17",
+    "determinism": "6 multi-block groups: histogram matches the DFS, avoidance counts the graphs",
     "multiplicativity": "25 random disjoint unions multiply",
 }
 
@@ -90,10 +91,9 @@ def test_sweep_config_refuses_max_order_below_4(max_order):
 
 
 def test_pass_details_at_max_order_6():
-    names = [n for n in NAMES if n != "determinism"]
-    results = verify.run_checks(only=names, max_order=6)
+    results = verify.run_checks(max_order=6)
     assert [(r.name, r.passed, r.detail) for r in results] == [
-        (n, True, DETAILS_AT_6[n]) for n in names
+        (n, True, DETAILS_AT_6[n]) for n in NAMES
     ]
 
 
@@ -153,6 +153,8 @@ FAULTS = {
             "1 D=() S=(0,): scan 1 != graph 2; 1 D=(0,) S=(): scan 1 != graph 2 "
             "(+1786 more)",
             "FAIL z8-example: graph 18, scan 17, expected 17",
+            "FAIL determinism: 15 d=1: scan 1364 != graph 1365; "
+            "15 d=2: scan 1364 != graph 1365; 15 d=3: scan 1331 != graph 1332 (+48 more)",
         ],
     ),
     "count_mstd+1": (
@@ -160,6 +162,8 @@ FAULTS = {
         [
             "FAIL histogram: 1: histogram MSTD 0 != 1; 2: histogram MSTD 0 != 1; "
             "3: histogram MSTD 0 != 1 (+9 more)",
+            "FAIL determinism: 15: histogram MSTD 60 != DFS 61; 3,5: histogram MSTD 60 != DFS 61; "
+            "16: histogram MSTD 384 != DFS 385 (+3 more)",
         ],
     ),
     # mask-oracle reports each case's failures as a list
