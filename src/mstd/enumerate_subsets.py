@@ -209,11 +209,15 @@ def _check_count_cap(group: GroupSpec, cap: int) -> None:
     _check_width(group, "MSTD count")
     n = group.order
     if n > cap:
-        budget = _dfs_budget(group)
-        est = budget / n * _CHILDREN_PER_BOUND / _CHILDREN_PER_S
+        if n <= _CHUNK_BITS:  # count_mstd scans these orders instead of walking
+            work = f"the scan covers 2^{n} subsets"
+            est = 2**n / _SUBSETS_PER_S
+        else:
+            budget = _dfs_budget(group)
+            work = f"the DFS walks up to {budget:.2e} children, |G| * upper_bound(G)"
+            est = budget / n * _CHILDREN_PER_BOUND / _CHILDREN_PER_S
         raise EnumerationCapError(
-            f"MSTD count of {group} exceeds the cap of order {cap}: "
-            f"the DFS walks up to {budget:.2e} children, |G| * upper_bound(G) "
+            f"MSTD count of {group} exceeds the cap of order {cap}: {work} "
             f"(estimated {est:.2g}+ core-seconds); raise cap= explicitly to force"
         )
 

@@ -264,7 +264,11 @@ def _count_frontier(order: list[int], neighbors: Adjacency) -> int:
     pos = {v: i for i, v in enumerate(order)}
     states = {0: 1}
     for i, v in enumerate(order):
-        block = sum(1 << (pos[u] - i) for u in neighbors[v] if pos.get(u, -1) > i)
+        block = 0
+        for u in neighbors[v]:
+            j = pos.get(u, -1) - i
+            if j > 0:
+                block |= 1 << j
         nxt: dict[int, int] = {}
         for s, c in states.items():
             k = s >> 1  # v stays out

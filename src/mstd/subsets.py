@@ -38,6 +38,14 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .groups import GroupSpec
 
 
+def _check_bits(group: GroupSpec, bits: int) -> int:
+    # a float mask such as 1.5 is refused here, not by sumset's `&` later
+    bits = operator.index(bits)
+    if not 0 <= bits < (1 << group.order):
+        raise ValueError(f"mask {bits:#x} out of range for group of order {group.order}")
+    return bits
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """An immutable subset of a group, stored as an integer bit mask."""
@@ -46,12 +54,7 @@ class SubsetMask:
     bits: int
 
     def __post_init__(self) -> None:
-        # a float mask such as 1.5 is refused here, not by sumset's `&` later
-        object.__setattr__(self, "bits", operator.index(self.bits))
-        if not 0 <= self.bits < (1 << self.group.order):
-            raise ValueError(
-                f"mask {self.bits:#x} out of range for group of order {self.group.order}"
-            )
+        object.__setattr__(self, "bits", _check_bits(self.group, self.bits))
 
     @classmethod
     def empty(cls, group: GroupSpec) -> "SubsetMask":
@@ -153,45 +156,42 @@ def translation_plan(group: GroupSpec) -> TranslationPlan:
     return TranslationPlan(_PerElement(moves), _PerElement(group.neg))
 
 
-def _translate(bits: int, moves: tuple[tuple[int, int, int, int], ...]) -> int:
-    for keep, up, wrap, down in moves:
+def translate_mask(group: GroupSpec, bits: int, g: int) -> int:
+    """Mask of {x + g : x in the mask}; g must be an element index and the
+    mask must lie in [0, 2^|G|)."""
+    bits = _check_bits(group, bits)
+    group._check(g)
+    for keep, up, wrap, down in translation_plan(group).moves[g]:
         bits = ((bits & keep) << up) | ((bits & wrap) >> down)
     return bits
 
 
-def translate_mask(group: GroupSpec, bits: int, g: int) -> int:
-    """Mask of {x + g : x in the mask}; g must be an element index."""
-    group._check(g)
-    return _translate(bits, translation_plan(group).moves[g])
-
-
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+def _union_of_translates(subset: SubsetMask, negate: bool) -> SubsetMask:
+    """Union over e in A of A translated by e (by -e if `negate`): the bits
+    are walked low to high and each translate is rotated in place."""
+    g = subset.group
+    bits = rest = subset.bits
+    moves, neg = translation_plan(g)
+    out = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        e = low.bit_length() - 1
+        t = bits
+        for keep, up, wrap, down in moves[neg[e] if negate else e]:
+            t = ((t & keep) << up) | ((t & wrap) >> down)
+        out |= t
+    return SubsetMask(g, out)
 
 
 def sumset(subset: SubsetMask) -> SubsetMask:
     """A + A = {a + b : a, b in A}."""
-    g = subset.group
-    bits = subset.bits
-    moves = translation_plan(g).moves
-    out = 0
-    for a in _iter_bits(bits):
-        out |= _translate(bits, moves[a])
-    return SubsetMask(g, out)
+    return _union_of_translates(subset, negate=False)
 
 
 def diffset(subset: SubsetMask) -> SubsetMask:
     """A - A = {a - b : a, b in A}; always closed under negation."""
-    g = subset.group
-    bits = subset.bits
-    moves, neg = translation_plan(g)
-    out = 0
-    for b in _iter_bits(bits):
-        out |= _translate(bits, moves[neg[b]])
-    return SubsetMask(g, out)
+    return _union_of_translates(subset, negate=True)
 
 
 def is_mstd(subset: SubsetMask) -> bool:

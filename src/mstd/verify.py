@@ -519,11 +519,22 @@ def check_rank_bound(cfg: SweepConfig) -> CaseLoop:
 def check_mask_oracle(cfg: SweepConfig) -> CaseLoop:
     """Bit-shift sumsets/diffsets match the naive double loop: exhaustively
     for tiny groups, on seeded random masks for larger ones. On the tiny
-    groups the block engine's memoised (A+A, A-A) masks must match too."""
+    groups the block engine's memoised (A+A, A-A) masks must match too.
+
+    The naive side reads two |G| x |G| pair tables per group, a + b and
+    a - b for every ordered pair, filled by `GroupSpec.add`/`sub` once per
+    pair on every run; each mask then walks its element pairs in them."""
     import numpy as np
+
+    def pair_tables(g: GroupSpec) -> tuple[list[list[int]], list[list[int]]]:
+        elems = range(g.order)
+        sums = [[g.add(a, b) for b in elems] for a in elems]
+        diffs = [[g.sub(a, b) for b in elems] for a in elems]
+        return sums, diffs
 
     def naive_block(g: GroupSpec) -> tuple:
         """The double loop over element pairs, applied to every mask at once."""
+        sums, diffs = pair_tables(g)
         masks = np.arange(1 << g.order, dtype=np.uint64)
         member = [(masks >> np.uint64(e)) & np.uint64(1) for e in range(g.order)]
         s_masks = np.zeros_like(masks)
@@ -531,18 +542,19 @@ def check_mask_oracle(cfg: SweepConfig) -> CaseLoop:
         for a in range(g.order):
             for b in range(g.order):
                 both = member[a] & member[b]
-                s_masks |= both << np.uint64(g.add(a, b))
-                d_masks |= both << np.uint64(g.sub(a, b))
+                s_masks |= both << np.uint64(sums[a][b])
+                d_masks |= both << np.uint64(diffs[a][b])
         return s_masks, d_masks
 
-    def naive(g: GroupSpec, bits: int) -> tuple[int, int]:
+    def naive(g: GroupSpec, sums: list, diffs: list, bits: int) -> tuple[int, int]:
         elems = [e for e in range(g.order) if (bits >> e) & 1]
         s_mask = 0
         d_mask = 0
         for a in elems:
+            s_row, d_row = sums[a], diffs[a]
             for b in elems:
-                s_mask |= 1 << g.add(a, b)
-                d_mask |= 1 << g.sub(a, b)
+                s_mask |= 1 << s_row[b]
+                d_mask |= 1 << d_row[b]
         return s_mask, d_mask
 
     def compare(g: GroupSpec, bits: int, s_mask: int, d_mask: int) -> list[str]:
@@ -573,9 +585,10 @@ def check_mask_oracle(cfg: SweepConfig) -> CaseLoop:
         GroupSpec((3, 3, 3)),
     ]
     for g in pool:
+        sums, diffs = pair_tables(g)
         for _ in range(40):
             bits = rng.getrandbits(g.order)
-            yield compare(g, bits, *naive(g, bits))
+            yield compare(g, bits, *naive(g, sums, diffs, bits))
     return f"{CASES} masks agree with the naive double loop"
 
 

@@ -59,6 +59,23 @@ def test_count_cap_refusal(capsys):
     assert code == 2 and out == ""
     est = re.search(r"\(estimated (\S+)\+ core-seconds\)", err)
     assert est and float(est.group(1)) > 0, err
+    # up to order 14 count_mstd scans every subset, so the refusal names the
+    # scan's 2^|G| subsets, not a DFS budget
+    for order, cap in (("8", "0"), ("14", "13")):
+        code, out, err = run_cli(capsys, "count", "-g", order, "--cap", cap)
+        assert code == 2 and out == ""
+        assert f"exceeds the cap of order {cap}: the scan covers 2^{order} subsets" in err
+        assert "DFS" not in err
+        est = 2 ** int(order) / enumerate_subsets._SUBSETS_PER_S
+        assert f"(estimated {est:.2g}+ core-seconds)" in err
+    # above 14 the DFS runs, and its budget is what the message states
+    code, out, err = run_cli(capsys, "count", "-g", "15", "--cap", "14")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: MSTD count of 15 exceeds the cap of order 14: the DFS walks up to "
+        "1.37e+05 children, |G| * upper_bound(G) (estimated 3.3e-05+ core-seconds); "
+        "raise cap= explicitly to force\n"
+    )
 
 
 def test_import_loads_no_numpy():

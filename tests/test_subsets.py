@@ -154,6 +154,18 @@ def test_translate_refuses_elements_outside_the_group():
     assert translate_mask(z2z2, 0b0001, 3) == 0b1000
 
 
+def test_translate_refuses_masks_outside_the_group():
+    # the mask must be an integer in [0, 2^|G|), as for SubsetMask
+    for bits in (0b1000000001, 1 << 8, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            translate_mask(Z8, bits, 1)
+    for bits in (1.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            translate_mask(Z8, bits, 1)
+    assert translate_mask(Z8, 0b10000001, 1) == 0b00000011
+    assert translate_mask(Z8, True, 1) == 0b10
+
+
 def test_plan_tables_refuse_a_float_index():
     # 3.0 == 3, so a float entry stored under it would be what neg[3] returns
     neg = _PerElement(GroupSpec((8,)).neg)

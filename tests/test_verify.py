@@ -14,6 +14,7 @@ import pytest
 from mstd import enumerate_subsets as enum
 from mstd import verify
 from mstd.cli import main
+from mstd.groups import GroupSpec, groups_up_to
 from mstd.subsets import SubsetMask
 
 NAMES = [
@@ -130,6 +131,26 @@ def _sumset_off_on_order_4(monkeypatch):
     monkeypatch.setattr(verify, "sumset", off)
 
 
+def _diffset_off_on_order_64(monkeypatch):
+    # only the random half of mask-oracle reaches an order-64 group
+    original = verify.diffset
+
+    def off(a):
+        return SubsetMask(a.group, original(a).bits ^ ((a.group.order == 64) << 63))
+
+    monkeypatch.setattr(verify, "diffset", off)
+
+
+def _sumset_off_on_8x4(monkeypatch):
+    # a two-factor group: the naive side reads a pair table over both digits
+    original = verify.sumset
+
+    def off(a):
+        return SubsetMask(a.group, original(a).bits ^ ((a.group == GroupSpec((8, 4))) << 5))
+
+    monkeypatch.setattr(verify, "sumset", off)
+
+
 FAULTS = {
     "count_avoiding+1-on-order-8": (
         _count_avoiding_off_on_order_8,
@@ -171,6 +192,20 @@ FAULTS = {
         _sumset_off_on_order_4,
         ["FAIL mask-oracle: 4 mask 0x0; 4 mask 0x1; 4 mask 0x2 (+29 more)"],
     ),
+    "diffset-bit-63-on-order-64": (
+        _diffset_off_on_order_64,
+        [
+            "FAIL mask-oracle: 64 mask 0x86151962a13be8a7; 64 mask 0x62b543c7e247b2b8; "
+            "64 mask 0xca324d366420e797 (+37 more)"
+        ],
+    ),
+    "sumset-bit-5-on-8x4": (
+        _sumset_off_on_8x4,
+        [
+            "FAIL mask-oracle: 8,4 mask 0xd71a4078; 8,4 mask 0xb048a7a3; "
+            "8,4 mask 0x27244612 (+37 more)"
+        ],
+    ),
 }
 
 
@@ -183,3 +218,27 @@ def test_injected_fault_fails_its_checks(fault, monkeypatch, capsys):
     assert code == 1
     assert [line.split(":")[0].split()[1] for line in lines] == NAMES
     assert [line for line in lines if not line.startswith("PASS ")] == expected
+
+
+#: mask-oracle's random pool, whose groups it sweeps at every max_order.
+MASK_ORACLE_POOL = [(24,), (32,), (64,), (8, 4), (6, 6), (4, 4, 2), (5, 5), (3, 3, 3)]
+
+
+def test_mask_oracle_evaluates_each_pair_once(monkeypatch):
+    # the naive side fills a sum and a difference table per group, one
+    # GroupSpec.add each per ordered pair (sub goes through add), and reads
+    # the tables for every mask
+    calls = 0
+    original = GroupSpec.add
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(GroupSpec, "add", counted)
+    (result,) = verify.run_checks(only=["mask-oracle"], max_order=4)
+    assert result.passed
+    orders = [g.order for g in groups_up_to(4, min_order=1)]
+    orders += [GroupSpec(f).order for f in MASK_ORACLE_POOL]
+    assert calls <= 2 * sum(n * n for n in orders) == 20880
