@@ -3,15 +3,24 @@
 Everything in this module is exact integer arithmetic.
 
 The engine. `fib_index_exact` deletes looped vertices (they cannot join an
-independent set), splits the rest into connected components and multiplies
-their counts. Each component is counted by one frontier DP: its vertices
-are placed in BFS order from the smallest label, neighbours in ascending
-order, and a state is the set of unplaced vertices that already have a
-neighbour in the independent set, kept in a dict from bit mask to exact
-count. It needs no group arithmetic and no shape: sum edges, non-cyclic
-subgroups and generic components above 40 vertices are handled alike. Its
-big-integer additions make long chains cost quadratic time, though: a
-2^18-cycle takes about 6 s where `index_cycle` takes milliseconds.
+independent set), takes the remaining connected components from the graph
+(`ForbiddanceGraph.component_orders`, found once per graph and shared with
+`decompose`) and multiplies their counts. Each component is counted by one
+frontier DP over its block sequence (`forbiddance.block_sequence`): its
+vertices are placed in BFS order from the smallest label, neighbours in
+ascending order, each contributing the mask of its later neighbours, and a
+state is the set of unplaced vertices that already have a neighbour in the
+independent set, kept in a dict from bit mask to exact count. It needs no
+group arithmetic and no shape: sum edges, non-cyclic subgroups and generic
+components above 40 vertices are handled alike. Its big-integer additions
+make long chains cost quadratic time, though: a 2^18-cycle takes about 6 s
+where `index_cycle` takes milliseconds.
+
+The block sequence fixes a component's edges in BFS positions, so it fixes
+the count. Within one call, components whose size repeats are keyed by it
+and counted once per distinct sequence: the |G|/m equal m-cycles of one
+difference cost one DP. Nothing is kept across calls, and a graph of one
+component, or of distinct sizes, builds no key.
 
 The budget. A component whose DP ever holds more than FRONTIER_STATE_CAP
 states is refused with ComponentTooLargeError rather than attempted, unless
@@ -53,7 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import AbstractSet, Sequence
 
-from .forbiddance import ForbiddanceGraph, _components_after_loops
+from .forbiddance import ForbiddanceGraph, bfs_positions, block_sequence, repeated_sizes
 
 #: Elimination on components beyond this size is refused, not attempted.
 GENERIC_COMPONENT_CAP = 40
@@ -241,34 +250,40 @@ def fib_index_exact(graph: ForbiddanceGraph) -> int:
     counts multiply across components. A component of at most
     GENERIC_COMPONENT_CAP vertices that overflows the DP's state cap is
     handed to the eliminator, so no component it can count is refused.
+    Components of a repeated size share one count per block sequence.
     """
+    orders = graph.component_orders
+    repeated = repeated_sizes(orders)
+    positions = bfs_positions(graph)
+    counts: dict[tuple[int, ...], int] = {}
     total = 1
-    for order in _components_after_loops(graph):
-        try:
-            total *= _count_frontier(order, graph.neighbors)
-        except ComponentTooLargeError:
-            if len(order) > GENERIC_COMPONENT_CAP:
-                raise
-            total *= count_independent_sets(graph.neighbors, set(order))
+    for order in orders:
+        blocks = block_sequence(order, graph.neighbors, positions)
+        keyed = len(order) in repeated
+        count = counts.get(blocks) if keyed else None
+        if count is None:
+            try:
+                count = _count_frontier(blocks)
+            except ComponentTooLargeError:
+                if len(order) > GENERIC_COMPONENT_CAP:
+                    raise
+                count = count_independent_sets(graph.neighbors, set(order))
+            if keyed:
+                counts[blocks] = count
+        total *= count
     return total
 
 
-def _count_frontier(order: list[int], neighbors: Adjacency) -> int:
-    """Independent sets of the component placed in this vertex order.
+def _count_frontier(blocks: Sequence[int]) -> int:
+    """Independent sets of the component with this block sequence.
 
     A state is the set of unplaced vertices that already have a neighbour
     in the independent set. Bits count from the vertex about to be placed:
     bit j stands for the j-th vertex after it, so each step shifts the
-    state right by one.
+    state right by one, and a placed vertex that joins blocks its block.
     """
-    pos = {v: i for i, v in enumerate(order)}
     states = {0: 1}
-    for i, v in enumerate(order):
-        block = 0
-        for u in neighbors[v]:
-            j = pos.get(u, -1) - i
-            if j > 0:
-                block |= 1 << j
+    for block in blocks:
         nxt: dict[int, int] = {}
         for s, c in states.items():
             k = s >> 1  # v stays out
@@ -279,7 +294,7 @@ def _count_frontier(order: list[int], neighbors: Adjacency) -> int:
         states = nxt
         if len(states) > FRONTIER_STATE_CAP:
             raise ComponentTooLargeError(
-                f"component of {len(order)} vertices needs more than "
+                f"component of {len(blocks)} vertices needs more than "
                 f"{FRONTIER_STATE_CAP} frontier states (FRONTIER_STATE_CAP)"
             )
     return states[0]

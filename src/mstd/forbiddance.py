@@ -17,6 +17,19 @@ vertices of degree 1 and the rest of degree 2 has n - 1 edges, so it is a
 tree of maximum degree 2, a path. No degree test settles ladders and prisms,
 so they alone carry an explicit isomorphism witness, found by a rung walk
 whose edges must be exactly the component's.
+
+The components of one graph are often translates of each other: one
+difference of order m gives |G|/m equal m-cycles, and a sum added to it
+gives repeated prisms and ladders. Each graph finds its loop-free
+components once (`ForbiddanceGraph.component_orders`, a BFS shared by
+`decompose` and `fib_index_exact`). A component's block sequence (for each
+vertex in BFS order, the bit mask of its later neighbours' offsets) fixes
+its edges in BFS positions, so components with equal sequences are
+isomorphic through their orders. `decompose` classifies the components of
+a repeated size once per distinct sequence (so a repeated ladder or prism
+costs one rung walk) and maps the witness through each copy's order. The
+memo lives for one call: a graph of one component, or of distinct sizes,
+builds no key.
 """
 
 from __future__ import annotations
@@ -24,8 +37,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import AbstractSet, Iterable, Optional
+from functools import cached_property, lru_cache
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .groups import GroupSpec
 
@@ -66,6 +79,12 @@ class ForbiddanceGraph:
     @property
     def n(self) -> int:
         return len(self.neighbors)
+
+    @cached_property
+    def component_orders(self) -> tuple[tuple[int, ...], ...]:
+        """Components of the loop-free vertices in BFS order; found once per
+        graph (`dataclasses.replace` makes a new graph with its own)."""
+        return _components_after_loops(self)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.neighbors[u] if u < v]
@@ -211,22 +230,73 @@ class Decomposition:
         return json.dumps(self.to_record(), sort_keys=True)
 
 
-def _components_after_loops(graph: ForbiddanceGraph) -> list[list[int]]:
+def _components_after_loops(graph: ForbiddanceGraph) -> tuple[tuple[int, ...], ...]:
     """Components of the loop-free vertices, each in BFS order from its
     smallest label with neighbours visited in ascending order."""
+    neighbors = graph.neighbors
     seen = set(graph.loops)
     comps = []
-    for start in range(graph.n):
+    for start in range(len(neighbors)):
         if start in seen:
             continue
         seen.add(start)
         comp = [start]
         for v in comp:  # BFS: the list grows while it is walked
-            fresh = sorted(graph.neighbors[v] - seen)
-            seen.update(fresh)
-            comp.extend(fresh)
-        comps.append(comp)
-    return comps
+            fresh = neighbors[v] - seen
+            if fresh:
+                if len(fresh) > 1:  # one new neighbour needs no sort
+                    fresh = sorted(fresh)
+                seen.update(fresh)
+                comp.extend(fresh)
+        comps.append(tuple(comp))
+    return tuple(comps)
+
+
+def repeated_sizes(orders: Sequence[Sequence[int]]) -> AbstractSet[int]:
+    """Sizes shared by two or more of these components, the only ones worth
+    keying by block sequence; none when there is one component."""
+    if len(orders) < 2:
+        return frozenset()
+    seen: set[int] = set()
+    repeated = set()
+    for order in orders:
+        n = len(order)
+        (repeated if n in seen else seen).add(n)
+    return repeated
+
+
+def bfs_positions(graph: ForbiddanceGraph) -> list[int]:
+    """Each vertex's place in its component's BFS order, as `block_sequence`
+    reads them. A looped vertex reads 0, so it never counts as a later
+    neighbour; a component's other neighbours are all its own."""
+    positions = [0] * graph.n
+    for order in graph.component_orders:
+        for i, v in enumerate(order):
+            positions[v] = i
+    return positions
+
+
+def block_sequence(
+    order: Sequence[int], neighbors: Sequence[AbstractSet[int]], positions: Sequence[int]
+) -> tuple[int, ...]:
+    """For each vertex of the component in this order, the mask of its later
+    neighbours: bit j is set when the vertex j places further on is one.
+    Each edge is recorded once, from its earlier end, so two components with
+    equal sequences have equal edges at equal positions, and order[i] ->
+    other[i] is an isomorphism.
+
+    positions[u] is u's place in `order` for every neighbour u of the
+    component's vertices that lies in it, and 0 for a looped neighbour.
+    """
+    blocks = []
+    for i, v in enumerate(order):
+        block = 0
+        for u in neighbors[v]:
+            j = positions[u] - i
+            if j > 0:
+                block |= 1 << j
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def _rung_walk(
@@ -283,7 +353,7 @@ def _rung_witness(
 
 
 def classify_component(
-    vertices: list[int], neighbors: tuple[frozenset[int], ...]
+    vertices: Sequence[int], neighbors: tuple[frozenset[int], ...]
 ) -> Component:
     """Label one connected loop-free component: cycles and paths by their
     degrees, ladders and prisms by a rung walk with an exact edge check."""
@@ -310,11 +380,34 @@ def classify_component(
 
 
 def decompose(graph: ForbiddanceGraph) -> Decomposition:
-    """Classify every connected component left after deleting looped vertices."""
-    comps = [
-        classify_component(comp, graph.neighbors)
-        for comp in _components_after_loops(graph)
-    ]
+    """Classify every connected component left after deleting looped vertices.
+
+    Components of a repeated size are classified once per distinct block
+    sequence within this call; each copy takes the first one's label, with
+    the witness mapped through the BFS positions.
+    """
+    orders = graph.component_orders
+    repeated = repeated_sizes(orders)
+    positions = bfs_positions(graph) if repeated else []
+    labels: dict[tuple[int, ...], Component] = {}
+    comps = []
+    for order in orders:
+        if len(order) not in repeated:
+            comps.append(classify_component(order, graph.neighbors))
+            continue
+        key = block_sequence(order, graph.neighbors, positions)
+        first = labels.get(key)
+        if first is None:
+            labels[key] = c = classify_component(order, graph.neighbors)
+        else:
+            w = first.witness
+            c = Component(
+                first.kind,
+                first.param,
+                tuple(sorted(order)),
+                None if w is None else tuple(order[positions[v]] for v in w),
+            )
+        comps.append(c)
     return Decomposition(
         total_vertices=graph.n,
         looped=tuple(sorted(graph.loops)),

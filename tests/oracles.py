@@ -4,9 +4,18 @@ Everything here works on digit tuples with explicit modular arithmetic and
 double loops, independent of the package's bit-mask machinery: subset scans
 enumerate all 2^n masks, sumsets come from |A|^2 pair loops, independent
 sets from testing all vertex subsets.
+
+`reference_components` is the one exception: it checks the package's
+per-graph component sharing (one BFS, one count and one rung walk per
+repeated component) against the package's own per-component pieces, each
+run afresh on every component.
 """
 
+from collections import deque
 from math import prod
+
+from mstd import fib_index
+from mstd.forbiddance import classify_component
 
 
 class TupleGroup:
@@ -139,3 +148,41 @@ def newton_iroot(x, n):
     while (r + 1) ** n <= x:
         r += 1
     return r
+
+
+def reference_components(graph):
+    """[(Component, count)] for each loop-free component of a forbiddance
+    graph, in ascending order of its smallest vertex, with nothing shared
+    between components.
+
+    The components come from a fresh BFS (neighbours in set order, not
+    sorted), each is labelled by `classify_component` without a memo, and
+    counted by the eliminator up to GENERIC_COMPONENT_CAP vertices or by the
+    closed form of its label above.
+    """
+    closed_forms = {
+        "path": fib_index.index_path,
+        "cycle": fib_index.index_cycle,
+        "ladder": fib_index.index_ladder,
+        "prism": fib_index.index_prism,
+    }
+    seen = set(graph.loops)
+    out = []
+    for start in range(graph.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [start], deque([start])
+        while queue:
+            for u in graph.neighbors[queue.popleft()]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    queue.append(u)
+        c = classify_component(comp, graph.neighbors)
+        if len(comp) <= fib_index.GENERIC_COMPONENT_CAP:
+            count = fib_index.count_independent_sets(graph.neighbors, set(comp))
+        else:
+            count = closed_forms[c.kind](c.param)
+        out.append((c, count))
+    return out

@@ -5,7 +5,7 @@ import random
 import mpmath
 import pytest
 
-from mstd import fib_index
+from mstd import fib_index, forbiddance
 from mstd.fib_index import (
     GENERIC_COMPONENT_CAP,
     ComponentTooLargeError,
@@ -229,6 +229,51 @@ def test_frontier_dp_counts_complete_bipartite(monkeypatch, n, count):
     monkeypatch.setattr(fib_index, "count_independent_sets", no_fallback)
     graph = build_graph(GroupSpec((n,)), tuple(range(1, n // 2 + 1, 2)))
     assert fib_index_exact(graph) == count
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_equal_components_share_one_dp_run_per_call(monkeypatch):
+    runs = _counting(monkeypatch, fib_index, "_count_frontier")
+    z64 = GroupSpec((64,))
+    graph = build_graph(z64, (8,))  # eight 8-cycles
+    assert fib_index_exact(graph) == index_cycle(8) ** 8
+    assert len(runs) == 1
+    # nothing is kept across calls, nor across graphs
+    assert fib_index_exact(graph) == index_cycle(8) ** 8
+    assert len(runs) == 2
+    runs.clear()
+    for _ in range(2):
+        assert fib_index_exact(build_graph(z64, (8,))) == index_cycle(8) ** 8
+    assert len(runs) == 2
+
+
+def test_one_bfs_per_graph(monkeypatch):
+    bfs = _counting(monkeypatch, forbiddance, "_components_after_loops")
+    graph = build_graph(GroupSpec((63,)), (9,), (0,))
+    dec = decompose(graph)
+    assert fib_index_exact(graph) == index_prism(7) ** 4 * index_ladder(3)
+    assert len(bfs) == 1 and len(dec.components) == 5
+    # a replaced graph finds its own components, not the original's
+    keep = set(dec.components[0].vertices)
+    alone = dataclasses.replace(graph, loops=frozenset(range(graph.n)) - keep)
+    assert alone.component_orders == (graph.component_orders[0],)
+    assert fib_index_exact(alone) == count_independent_sets(graph.neighbors, keep)
+    assert len(bfs) == 2
+    assert len(graph.component_orders) == 5
+    assert forbiddance.repeated_sizes(graph.component_orders) == {14}
+    assert not forbiddance.repeated_sizes(alone.component_orders)
 
 
 def test_frontier_state_cap_falls_back_to_eliminator(monkeypatch):

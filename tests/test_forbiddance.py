@@ -2,10 +2,15 @@ import itertools
 import json
 import random
 from collections import Counter
+from math import prod
 
+import pytest
+
+from mstd import forbiddance
 from mstd.fib_index import (
     count_independent_sets,
     cycle_neighbors,
+    fib_index_exact,
     index_cycle,
     index_ladder,
     index_path,
@@ -18,13 +23,14 @@ from mstd.forbiddance import (
     ForbiddanceSpec,
     _affine_table,
     _rung_walk,
+    _rung_witness,
     build_graph,
     canonical_shape,
     classify_component,
     decompose,
 )
 from mstd.groups import GroupSpec, groups_up_to, half_set
-from oracles import TupleGroup
+from oracles import TupleGroup, reference_components
 
 Z8 = GroupSpec((8,))
 Z9 = GroupSpec((9,))
@@ -181,9 +187,23 @@ CLOSED_FORMS = {
 }
 
 
+def _labels(components):
+    return [(c.kind, c.param, c.vertices) for c in components]
+
+
+def _check_against_reference(graph):
+    """decompose's labels and fib_index_exact's count equal the unshared
+    per-component reference's; returns the reference."""
+    ref = reference_components(graph)
+    assert _labels(decompose(graph).components) == _labels(c for c, _ in ref)
+    assert fib_index_exact(graph) == prod(count for _, count in ref)
+    return ref
+
+
 def test_labels_match_counts():
     """Every label a small family gets names the closed form that counts its
-    component, by the eliminator on the component's own vertices."""
+    component, by the eliminator on the component's own vertices; decompose
+    and fib_index_exact agree with the reference that shares nothing."""
     seen = Counter()
     for g in groups_up_to(12, min_order=2):
         base = sorted(half_set(g))  # one difference per {d, -d} pair
@@ -191,13 +211,60 @@ def test_labels_match_counts():
             for diffs in itertools.combinations(base, k):
                 for sums in [()] + [(s,) for s in range(g.order)]:
                     graph = build_graph(g, diffs, sums)
-                    for c in decompose(graph).components:
+                    for c, got in _check_against_reference(graph):
                         if c.kind == "generic":
                             continue
-                        got = count_independent_sets(graph.neighbors, set(c.vertices))
                         assert got == CLOSED_FORMS[c.kind](c.param), (g, diffs, sums, c)
                         seen[c.kind] += 1
     assert seen == {"vertex": 158, "edge": 1040, "cycle": 983, "ladder": 261, "prism": 523}
+
+
+#: Graphs whose components repeat: (factors, diffs, sums, multiplicities).
+REPEATED = [
+    ((64,), (8,), (), {("cycle", 8): 8}),
+    ((63,), (9,), (0,), {("prism", 7): 4, ("ladder", 3): 1}),
+    ((5, 5, 3), (1,), (2,), {("prism", 5): 7, ("cycle", 4): 1}),
+    ((12, 4), (3,), (1,), {("prism", 4): 5, ("cycle", 4): 2}),  # cubes
+    ((105,), (15,), (0,), {("prism", 7): 7, ("ladder", 3): 1}),
+]
+
+
+@pytest.mark.parametrize("factors, diffs, sums, shapes", REPEATED)
+def test_repeated_components_match_reference(factors, diffs, sums, shapes):
+    graph = build_graph(GroupSpec(factors), diffs, sums)
+    _check_against_reference(graph)
+    assert decompose(graph).multiplicities() == shapes
+
+
+@pytest.mark.parametrize("factors, diffs, sums, shapes", REPEATED)
+def test_reused_witnesses_fit_their_own_components(monkeypatch, factors, diffs, sums, shapes):
+    walks = []
+
+    def counted(nbrs, rungs, closed):
+        walks.append(rungs)
+        return _rung_witness(nbrs, rungs, closed)
+
+    monkeypatch.setattr(forbiddance, "_rung_witness", counted)
+    graph = build_graph(GroupSpec(factors), diffs, sums)
+    keys, found = set(), 0
+    for order, c in zip(graph.component_orders, decompose(graph).components):
+        if c.kind not in ("ladder", "prism"):
+            assert c.witness is None
+            continue
+        w, m = c.witness, c.param
+        assert sorted(w) == list(c.vertices)
+        steps = m if c.kind == "prism" else m - 1
+        edges = [(w[2 * i], w[2 * i + 1]) for i in range(m)]
+        edges += [(w[2 * i + j], w[2 * ((i + 1) % m) + j]) for i in range(steps) for j in (0, 1)]
+        assert all(v in graph.neighbors[u] for u, v in edges), (c, edges)
+        inside = set(c.vertices)  # a ladder's rail ends also meet looped vertices
+        nbrs = {v: graph.neighbors[v] & inside for v in order}
+        assert 2 * len(edges) == sum(map(len, nbrs.values()))
+        keys.add(forbiddance.block_sequence(order, nbrs, {v: i for i, v in enumerate(order)}))
+        found += 1
+    # one walk per distinct block sequence: equal components reuse its witness
+    assert len(walks) == len(keys)
+    assert found == 0 or len(keys) < found
 
 
 def test_degree_profile_labels_relabelled_paths_and_cycles():
